@@ -21,8 +21,9 @@ use std::time::Instant;
 
 /// Master seeds per pass: each is one default plan of 264 cells
 /// (rates 0/1e-4/1e-3/1e-2 × parity/secded/secded_sparing × EVE-8/32 ×
-/// the 11 tiny kernels).
-pub const PLANS: usize = 3;
+/// the 11 tiny kernels). Two plans make a ~5 s pass, so four or five
+/// passes fit in a run.
+pub const PLANS: usize = 2;
 
 /// What one cell produced, compared exactly between runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +43,21 @@ pub enum Cell {
     Done(Box<FaultOut>),
     Error(String),
     Panic(String),
+}
+
+impl Cell {
+    /// The simulated run aborted on a fault-corrupted address:
+    /// `eve_isa::Memory` asserts on an out-of-bounds access instead of
+    /// returning an `IsaError` (a typed error for the same access would
+    /// be the same outcome). Like an SDC, this is an outcome of the
+    /// injected faults, so the cell ran; any other panic or error is a
+    /// failed cell.
+    pub fn is_address_abort(&self) -> bool {
+        match self {
+            Cell::Panic(msg) | Cell::Error(msg) => msg.contains("out of bounds"),
+            Cell::Done(_) => false,
+        }
+    }
 }
 
 pub struct Fault {
@@ -160,7 +176,7 @@ impl Bench for Fault {
                 reqs: 1,
             },
             Cell::Error(_) | Cell::Panic(_) => Tally {
-                failed: true,
+                failed: !out.is_address_abort(),
                 insts: 0,
                 reqs: 1,
             },
@@ -172,6 +188,7 @@ impl Bench for Fault {
         let mut served_ok = 0u64;
         let mut sdc = 0u64;
         let mut avail = 0.0;
+        let mut aborted = 0u64;
         let mut panics = 0u64;
         let mut errors = 0u64;
         for ((_, job), out) in self.jobs.iter().zip(outs) {
@@ -205,21 +222,26 @@ impl Bench for Fault {
                 Cell::Error(e) if e.starts_with("verification failed") => {
                     return Err(format!("{}: {e}", what()));
                 }
+                _ if out.is_address_abort() => {
+                    if job.rate == 0.0 {
+                        return Err(format!("{}: fault-free cell aborted", what()));
+                    }
+                    aborted += 1;
+                }
                 Cell::Error(e) => {
                     errors += 1;
                     eprintln!("fault_campaign: {}: {e}", what());
                 }
                 Cell::Panic(msg) => {
                     panics += 1;
-                    if !msg.contains("out of bounds") {
-                        eprintln!("fault_campaign: {}: unexpected panic: {msg}", what());
-                    }
+                    eprintln!("fault_campaign: {}: unexpected panic: {msg}", what());
                 }
             }
         }
         println!(
             "fault_campaign: {} cells over {} master seeds: {finished} finished, {sdc} SDC, \
-             {panics} panicked, {errors} simulation errors",
+             {aborted} aborted on a corrupted address, {panics} other panics, \
+             {errors} simulation errors",
             outs.len(),
             self.plans.len()
         );
@@ -239,7 +261,14 @@ impl Bench for Fault {
             let o = match out {
                 Cell::Done(o) => o,
                 Cell::Error(_) | Cell::Panic(_) => {
-                    t.count("sim.failed_cells", 1);
+                    t.count(
+                        if out.is_address_abort() {
+                            "sim.aborted_cells"
+                        } else {
+                            "sim.failed_cells"
+                        },
+                        1,
+                    );
                     continue;
                 }
             };
@@ -433,9 +462,9 @@ mod tests {
     use eve_common::json::JsonValue;
     use eve_sim::fault::run_campaign_job;
 
-    /// On a small plan that degrades, corrects, corrupts and panics, the
-    /// untraced cell agrees with `run_campaign_job` and the traced twin
-    /// reproduces it exactly.
+    /// On a small plan that degrades, corrects, corrupts and aborts on a
+    /// corrupted address, the untraced cell agrees with
+    /// `run_campaign_job` and the traced twin reproduces it exactly.
     #[test]
     fn traced_jobs_match_run_campaign_job() {
         crate::host::quiet_cell_panics();
@@ -475,8 +504,9 @@ mod tests {
                         Some(JsonValue::UInt(o.resilience.retries))
                     );
                 }
-                (Cell::Panic(_), Err(_)) => {
-                    outcomes.insert("panic");
+                (Cell::Panic(msg), Err(_)) => {
+                    assert!(untraced.is_address_abort(), "unexpected panic: {msg}");
+                    outcomes.insert("abort");
                 }
                 (u, l) => panic!("untraced {u:?} but the library gave {l:?}"),
             }

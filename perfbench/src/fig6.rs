@@ -14,22 +14,12 @@ use eve_vector::{DecoupledVector, IntegratedVector};
 use eve_workloads::{Built, Workload};
 use std::time::Instant;
 
-/// The kernels the matrix runs, at their `Workload::suite()` sizes.
-/// kmeans is the scalar-dominated kernel (its IO/O3 rows are ~40% of
-/// the pass) and histogram the EVE-dominated one; vvadd and pathfinder
-/// bring the paper's kernels to three, and spmv, blackscholes and scan
-/// are cheap second-wave kernels that widen the mix. mmult (21 s of the
-/// full 56 s matrix), jacobi-2d, backprop and sw are left out so a pass
-/// takes ~9 s on one core and three passes fit in a run.
-pub const KERNELS: [&str; 7] = [
-    "vvadd",
-    "kmeans",
-    "pathfinder",
-    "histogram",
-    "spmv",
-    "blackscholes",
-    "scan",
-];
+/// The kernels the matrix runs. kmeans is the scalar-dominated kernel
+/// and histogram the EVE-dominated one; vvadd and pathfinder bring the
+/// paper's kernels to three. mmult (21 s of the full 56 s matrix),
+/// jacobi-2d, backprop, sw and the second-wave kernels are left out so
+/// a pass takes ~5 s on one core and four to six passes fit in a run.
+pub const KERNELS: [&str; 4] = ["vvadd", "kmeans", "pathfinder", "histogram"];
 
 /// The paper's seven Fig 6 kernels.
 const PAPER_KERNELS: [&str; 7] = [
@@ -82,11 +72,26 @@ pub struct Fig6 {
     cells: Vec<(Workload, SystemKind)>,
 }
 
-/// The suite kernels named in [`KERNELS`].
+/// The suite kernels named in [`KERNELS`] at their `Workload::suite()`
+/// inputs, except kmeans at half the points: that halves its cells,
+/// which were 70% of the pass, while every system's speedup over IO
+/// stays within 2% of the full input's.
 pub fn kernels() -> Vec<Workload> {
     Workload::suite()
         .into_iter()
         .filter(|w| KERNELS.contains(&w.name()))
+        .map(|w| match w {
+            Workload::Kmeans {
+                points,
+                features,
+                clusters,
+            } => Workload::Kmeans {
+                points: points / 2,
+                features,
+                clusters,
+            },
+            other => other,
+        })
         .collect()
 }
 

@@ -149,7 +149,7 @@ const TIMED: [(&str, &str); 13] = [
 ];
 
 /// Modelled counts, reported as summed by the workloads: `(name, unit)`.
-pub const MODELLED: [(&str, &str); 41] = [
+pub const MODELLED: [(&str, &str); 42] = [
     ("sim.cycles", "cycles"),
     ("mem.l1d_misses", "count"),
     ("mem.l2_misses", "count"),
@@ -176,6 +176,7 @@ pub const MODELLED: [(&str, &str); 41] = [
     ("sim.corrected_cells", "count"),
     ("sim.degraded_cells", "count"),
     ("sim.sdc_cells", "count"),
+    ("sim.aborted_cells", "count"),
     ("sim.failed_cells", "count"),
     ("serve.dispatches", "count"),
     ("serve.steals", "count"),

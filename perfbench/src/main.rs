@@ -35,12 +35,17 @@ const WORKLOADS: [&str; 4] = [
 const USAGE: &str = "usage: perfbench --workload <fig6_matrix|fault_campaign|cluster_direct|\
                      cluster_lossy|all> --seed <n> --seconds <s> --trace <0|1>";
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
 /// Passes over the cells in an untraced run. Every cell's fastest pass
 /// counts: host slowdowns on this class of machine come in phases of
 /// seconds, and three spread-out samples per cell filter most of them.
 const MIN_PASSES: usize = 3;
+/// Extra set-ups timed in each untraced pass after the first, evenly
+/// spaced among its cells; one more follows the last pass. `setup_s`
+/// is the fastest of these and the set-up made before the first cell,
+/// as `wall_s` takes each cell's fastest pass: spread over the run,
+/// they sample several host phases, and in busy hours half of them
+/// land in slow ones, which moves a median but not the fastest.
+const SETUPS_PER_PASS: usize = 2;
 
 /// `fig6_gap_pct` on workloads that run no Fig 6 cells: the metric
 /// must be nonzero on every workload, so it is pinned here.
@@ -48,6 +53,7 @@ pub const NO_FIG6_GAP: f64 = 100.0;
 
 /// One cell's contribution to the run totals.
 pub struct Tally {
+    /// The cell did not run to an outcome the workload expects.
     failed: bool,
     /// Simulated dynamic instructions.
     insts: u64,
@@ -185,50 +191,30 @@ fn run_all(argv: &[String]) -> ExitCode {
     }
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// Runs the set-up `SETUPS` times, keeping the last; returns it with
-/// the median set-up time in seconds.
+/// Runs the set-up once; returns it with its time in seconds.
 fn set_up<B: Bench>(args: &Args) -> Result<(B, f64), String> {
-    let mut times = Vec::with_capacity(SETUPS);
-    let mut bench = None;
-    for _ in 0..SETUPS {
-        drop(bench.take());
-        let t = Instant::now();
-        bench = Some(B::setup(&args.workload, args.seed)?);
-        times.push(t.elapsed().as_secs_f64());
-    }
-    let bench = bench.ok_or("no set-up ran")?;
-    if bench.cell_count() == 0 {
-        return Err("the workload has no cells".into());
-    }
-    Ok((bench, median(times)))
+    let t = Instant::now();
+    let bench = B::setup(&args.workload, args.seed)?;
+    Ok((bench, t.elapsed().as_secs_f64()))
 }
 
 /// Visits every cell once per pass, alternating direction so a cell's
 /// repetitions are spread over the run, until another pass would end
-/// past `seconds` (and at least `min_passes` are done). Returns the
+/// past `seconds` (and at least `min_passes` are done). `visit` gets
+/// the pass, the cell's position in the pass and the cell. Returns the
 /// number of passes.
 fn passes(
     n: usize,
     seconds: f64,
     min_passes: usize,
-    mut visit: impl FnMut(usize, usize) -> Result<(), String>,
+    mut visit: impl FnMut(usize, usize, usize) -> Result<(), String>,
 ) -> Result<usize, String> {
     let start = Instant::now();
     let mut done = 0;
     loop {
         for k in 0..n {
             let i = if done % 2 == 0 { k } else { n - 1 - k };
-            visit(done, i)?;
+            visit(done, k, i)?;
         }
         done += 1;
         let elapsed = start.elapsed().as_secs_f64();
@@ -241,15 +227,29 @@ fn passes(
 /// Runs one workload and prints its result, `correct` false when an
 /// output check failed. Errors that leave no result are returned.
 fn run<B: Bench>(args: &Args) -> Result<(), String> {
-    let (bench, setup_s) = set_up::<B>(args)?;
+    let (bench, first_setup) = set_up::<B>(args)?;
+    let mut setups = vec![first_setup];
     let setup_rss = host::hwm_mib()?;
     host::reset_hwm()?;
     let n = bench.cell_count();
+    if n == 0 {
+        return Err("the workload has no cells".into());
+    }
     let mut first: Vec<B::Out> = Vec::with_capacity(n);
     let mut best = vec![f64::INFINITY; n];
     let mut best_traced: Vec<Option<(u64, Layers)>> = vec![None; n];
+    // The body's own peak: the first pass runs every cell, and the
+    // set-ups timed in later passes would otherwise raise the mark.
+    let mut peak_rss = None;
     let min_passes = if args.trace { 1 } else { MIN_PASSES };
-    let done = passes(n, args.seconds, min_passes, |pass, i| {
+    let spacing = n.div_ceil(SETUPS_PER_PASS);
+    let done = passes(n, args.seconds, min_passes, |pass, k, i| {
+        if pass > 0 && peak_rss.is_none() {
+            peak_rss = Some(host::hwm_mib()?);
+        }
+        if pass > 0 && !args.trace && k % spacing == 0 {
+            setups.push(set_up::<B>(args)?.1);
+        }
         let t = Instant::now();
         let out = bench.run(i);
         best[i] = best[i].min(t.elapsed().as_secs_f64());
@@ -275,7 +275,15 @@ fn run<B: Bench>(args: &Args) -> Result<(), String> {
         }
         Ok(())
     })?;
-    let peak_rss = host::hwm_mib()?;
+    let peak_rss = match peak_rss {
+        Some(mib) => mib,
+        None => host::hwm_mib()?,
+    };
+    if !args.trace {
+        setups.push(set_up::<B>(args)?.1);
+    }
+    let setup_list: Vec<String> = setups.iter().map(|s| format!("{s:.3}")).collect();
+    let setup_s = setups.into_iter().fold(f64::INFINITY, f64::min);
 
     let (correct, modelled) = match bench.check(&first) {
         Ok(m) => (true, Some(m)),
@@ -285,7 +293,7 @@ fn run<B: Bench>(args: &Args) -> Result<(), String> {
         }
     };
     let tallies: Vec<Tally> = first.iter().map(|o| bench.tally(o)).collect();
-    let failed_per_pass = tallies.iter().filter(|t| t.failed).count();
+    let failed = tallies.iter().filter(|t| t.failed).count();
     let insts: u64 = tallies.iter().map(|t| t.insts).sum();
     let reqs: u64 = tallies.iter().map(|t| t.reqs).sum();
     let wall_s: f64 = best.iter().sum();
@@ -320,18 +328,20 @@ fn run<B: Bench>(args: &Args) -> Result<(), String> {
         ]
     };
     println!(
-        "{}: seed {}, {n} cells × {done} passes, {failed_per_pass} failed per pass, trace {}",
+        "{}: seed {}, {n} cells × {done} passes, {failed} cells failed, trace {}, set-ups {} s",
         args.workload,
         args.seed,
-        u8::from(args.trace)
+        u8::from(args.trace),
+        setup_list.join(" ")
     );
     for (name, unit, value) in &metrics {
         println!("  {name:<32} {value:>16.6} {unit}");
     }
+    // An operation is one cell, counted once: its repetitions in later
+    // passes must reproduce the first, so the counts depend on the seed
+    // alone and not on how many passes fit in the run.
     let mut json = format!(
-        "{{\"correct\": {correct}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{",
-        n * done,
-        failed_per_pass * done
+        "{{\"correct\": {correct}, \"attempted\": {n}, \"failed\": {failed}, \"metrics\": {{"
     );
     for (k, (name, unit, value)) in metrics.iter().enumerate() {
         let value = if value.is_finite() { *value } else { 0.0 };
