@@ -1,22 +1,19 @@
 //! The serving-layer auditor: replays a traced run against its report.
 //!
 //! Extends the repo's audit story (PR 2's stall auditor, PR 4's
-//! campaign checks) to the `serve` track: the trace buffer must be
-//! lossless, every event must land inside the run, the `serve` and
-//! per-engine tracks must be time-monotone, each engine's busy/fault
-//! spans must be pairwise disjoint (an engine serves one request at a
-//! time), and the counter registry the run exported must agree with
-//! the report's tallies — plus the report-internal conservation
-//! identities (every arrival is admitted or shed; every admitted
-//! request completes exactly once; every dispatch succeeds or fails).
-//!
-//! [`audit_cluster`] extends the same replay identity to the sharded
-//! cluster: routing roll-ups (every admitted request was routed to
-//! exactly one home shard or served directly on the fallback), steal
-//! conservation (everything stolen out landed somewhere or failed
-//! over), shed accounting per tenant, and the degradation ladder's
-//! step discipline (adjacent levels only, downs minus ups equals the
-//! final level, level times cover the whole run).
+//! campaign checks) to serving. [`audit_cluster`] requires a lossless
+//! trace buffer, every event inside the run, and a time-monotone
+//! `cluster` track, then replays the report's identities: request
+//! conservation (every arrival is admitted or shed; every admitted
+//! request completes exactly once, on an engine or the fallback),
+//! routing roll-ups (every admitted request was routed to exactly one
+//! home shard or served directly on the fallback), steal conservation
+//! (everything stolen out landed somewhere or failed over), per-shard
+//! engine batch roll-ups, shed accounting per tenant, the degradation
+//! ladder's step discipline (adjacent levels only, downs minus ups
+//! equals the final level, level times cover the whole run), and the
+//! counter registry the run exported against the report's tallies.
+//! A single pool is the one-shard case and gets the same audit.
 //!
 //! With the lossy transport on, two more families apply. *Message
 //! conservation*: on every link and for every message class,
@@ -32,10 +29,8 @@
 use crate::cluster_report::ClusterReport;
 use crate::elastic::ElasticEventKind;
 use crate::net::MsgClass;
-use crate::report::ServeReport;
-use crate::sim::traced_engines;
 use eve_obs::audit::{check_bounds, check_monotonic, AuditError};
-use eve_obs::{EventKind, TraceEvent, Tracer};
+use eve_obs::Tracer;
 use std::fmt;
 
 /// Why the serve audit rejected a run.
@@ -43,31 +38,6 @@ use std::fmt;
 pub enum ServeAuditFailure {
     /// A generic trace invariant failed.
     Trace(AuditError),
-    /// Two spans on one engine track overlap.
-    OverlappingService {
-        /// The engine track.
-        track: &'static str,
-        /// Cycle where the overlap starts.
-        at: u64,
-    },
-    /// An engine's traced span stream diverged from its reported
-    /// dispatch count — pinpointed to the first divergent span so the
-    /// failure is diagnosable, not a bare count mismatch.
-    SpanDivergence {
-        /// The engine track.
-        track: &'static str,
-        /// The engine index.
-        engine: usize,
-        /// Span index where the streams diverge (0-based).
-        index: usize,
-        /// Timestamp of the first unexpected span, or the run's end
-        /// cycle when the trace ran short.
-        cycle: u64,
-        /// Spans the report implies.
-        expected: u64,
-        /// Spans the trace carries.
-        got: u64,
-    },
     /// A report-internal or report-vs-trace identity failed.
     Identity {
         /// What disagreed, with the numbers.
@@ -79,21 +49,6 @@ impl fmt::Display for ServeAuditFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Trace(e) => write!(f, "trace invariant: {e}"),
-            Self::OverlappingService { track, at } => {
-                write!(f, "track {track}: overlapping service spans at cycle {at}")
-            }
-            Self::SpanDivergence {
-                track,
-                engine,
-                index,
-                cycle,
-                expected,
-                got,
-            } => write!(
-                f,
-                "track {track} (engine {engine}): span stream diverges at \
-                 index {index}, cycle {cycle}: expected {expected} spans, got {got}"
-            ),
             Self::Identity { message } => write!(f, "serve identity: {message}"),
         }
     }
@@ -107,17 +62,6 @@ impl From<AuditError> for ServeAuditFailure {
     }
 }
 
-/// What a passing serve audit established.
-#[derive(Debug, Clone, Default)]
-pub struct ServeAuditSummary {
-    /// Events replayed.
-    pub events: usize,
-    /// Busy/fault spans replayed across all engine tracks.
-    pub service_spans: usize,
-    /// Engine tracks checked.
-    pub engine_tracks: usize,
-}
-
 /// What a passing cluster audit established.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterAuditSummary {
@@ -127,146 +71,14 @@ pub struct ClusterAuditSummary {
     pub identities: usize,
 }
 
-fn identity(message: String) -> ServeAuditFailure {
-    ServeAuditFailure::Identity { message }
-}
-
 fn check_identity(label: &str, got: u64, want: u64) -> Result<(), ServeAuditFailure> {
     if got == want {
         Ok(())
     } else {
-        Err(identity(format!("{label}: {got} != {want}")))
+        Err(ServeAuditFailure::Identity {
+            message: format!("{label}: {got} != {want}"),
+        })
     }
-}
-
-fn engine_track(i: usize) -> &'static str {
-    [
-        "eng0", "eng1", "eng2", "eng3", "eng4", "eng5", "eng6", "eng7",
-    ][i]
-}
-
-/// Collects one engine track's spans in order, verifying disjointness
-/// along the way.
-fn track_spans(
-    events: &[TraceEvent],
-    track: &'static str,
-) -> Result<Vec<(u64, u64)>, ServeAuditFailure> {
-    let mut free_at = 0u64;
-    let mut spans = Vec::new();
-    for e in events {
-        if e.track != track || e.kind != EventKind::Span {
-            continue;
-        }
-        if e.ts < free_at {
-            return Err(ServeAuditFailure::OverlappingService { track, at: e.ts });
-        }
-        free_at = e.ts + e.dur;
-        spans.push((e.ts, e.dur));
-    }
-    Ok(spans)
-}
-
-/// Replays `tracer`'s event stream against `report`.
-///
-/// # Errors
-///
-/// Returns the first violated invariant as a [`ServeAuditFailure`];
-/// span-count mismatches pinpoint the first divergent span.
-pub fn audit_serve(
-    tracer: &Tracer,
-    report: &ServeReport,
-) -> Result<ServeAuditSummary, ServeAuditFailure> {
-    let dropped = tracer.dropped();
-    if dropped > 0 {
-        return Err(AuditError::DroppedEvents { dropped }.into());
-    }
-    let events = tracer.events();
-    check_bounds(&events, report.end_cycle)?;
-    check_monotonic(&events, "serve")?;
-
-    let tracks = traced_engines(report.pool);
-    let mut service_spans = 0;
-    for i in 0..tracks {
-        let track = engine_track(i);
-        check_monotonic(&events, track)?;
-        let spans = track_spans(&events, track)?;
-        service_spans += spans.len();
-        // A fully-traced pool must show exactly one span per reported
-        // dispatch, engine by engine. On divergence, name the first
-        // span that should not exist (or the cycle the trace ran out).
-        if tracks == report.pool {
-            let want = report.engines[i].dispatches;
-            let got = spans.len() as u64;
-            if got != want {
-                let index = want.min(got) as usize;
-                let cycle = spans.get(index).map_or(report.end_cycle, |&(ts, _)| ts);
-                return Err(ServeAuditFailure::SpanDivergence {
-                    track,
-                    engine: i,
-                    index,
-                    cycle,
-                    expected: want,
-                    got,
-                });
-            }
-        }
-    }
-
-    // Conservation identities inside the report.
-    check_identity(
-        "arrivals == admitted + shed",
-        report.arrivals,
-        report.admitted + report.shed(),
-    )?;
-    check_identity(
-        "admitted == completed_eve + completed_fallback",
-        report.admitted,
-        report.completed_eve + report.completed_fallback,
-    )?;
-    check_identity(
-        "dispatches == completed_eve + engine_failures",
-        report.dispatches,
-        report.completed_eve + report.engine_failures,
-    )?;
-    let eng_dispatches: u64 = report.engines.iter().map(|e| e.dispatches).sum();
-    check_identity("engine dispatch roll-up", eng_dispatches, report.dispatches)?;
-    let eng_completions: u64 = report.engines.iter().map(|e| e.completions).sum();
-    check_identity(
-        "engine completion roll-up",
-        eng_completions,
-        report.completed_eve,
-    )?;
-    let eng_failures: u64 = report.engines.iter().map(|e| e.failures).sum();
-    check_identity(
-        "engine failure roll-up",
-        eng_failures,
-        report.engine_failures,
-    )?;
-
-    // Counter registry vs report.
-    let reg = tracer.registry();
-    if !reg.is_empty() {
-        for (name, want) in [
-            ("serve.arrivals", report.arrivals),
-            ("serve.admitted", report.admitted),
-            ("serve.shed", report.shed()),
-            ("serve.dispatches", report.dispatches),
-            ("serve.failures", report.engine_failures),
-            ("serve.retries", report.retries),
-            ("serve.failovers", report.failovers),
-            ("serve.completed_eve", report.completed_eve),
-            ("serve.completed_fallback", report.completed_fallback),
-            ("serve.sdc", report.sdc),
-        ] {
-            check_identity(name, reg.counter(name), want)?;
-        }
-    }
-
-    Ok(ServeAuditSummary {
-        events: events.len(),
-        service_spans,
-        engine_tracks: tracks,
-    })
 }
 
 /// Replays a cluster run's trace and report against each other: trace
@@ -710,23 +522,25 @@ mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterSim, ClusterTraffic};
     use crate::profile::ServiceProfile;
-    use crate::sim::{ServeConfig, ServeSim, TrafficConfig};
     use crate::storm::FaultStorm;
 
-    fn traced_run(storm: FaultStorm) -> (Tracer, ServeReport) {
+    /// A traced single pool: one shard of four engines, one tenant.
+    fn traced_pool(storm: FaultStorm) -> (Tracer, ClusterReport) {
         let tracer = Tracer::new();
-        let cfg = ServeConfig {
-            pool: 4,
+        let cfg = ClusterConfig {
+            shards: 1,
+            engines_per_shard: 4,
             seed: 11,
-            ..ServeConfig::default()
+            ..ClusterConfig::default()
         };
-        let traffic = TrafficConfig {
+        let traffic = ClusterTraffic {
             requests: 150,
             mean_gap: 600,
-            deadline_slack: 6.0,
+            tenants: crate::tenancy::tenant_mix(1),
             seed: 5,
+            ..ClusterTraffic::default()
         };
-        let report = ServeSim::new(
+        let report = ClusterSim::new(
             cfg,
             ServiceProfile::synthetic(3, 1000, 4000, 4),
             traffic,
@@ -765,100 +579,52 @@ mod tests {
     }
 
     #[test]
-    fn calm_and_stormy_runs_pass() {
-        for storm in [FaultStorm::none(), FaultStorm::synth(9, 4, 400_000, 1.5)] {
-            let (tracer, report) = traced_run(storm);
-            let s = audit_serve(&tracer, &report).unwrap();
-            assert!(s.events > 0);
-            assert_eq!(s.service_spans as u64, report.dispatches);
-            assert_eq!(s.engine_tracks, 4);
-        }
-    }
-
-    #[test]
-    fn a_cooked_report_fails_the_identity() {
-        let (tracer, mut report) = traced_run(FaultStorm::none());
-        report.admitted += 1;
-        let err = audit_serve(&tracer, &report).unwrap_err();
-        assert!(matches!(err, ServeAuditFailure::Identity { .. }), "{err}");
-    }
-
-    #[test]
-    fn a_cooked_counter_fails_the_registry_check() {
-        let (tracer, mut report) = traced_run(FaultStorm::none());
-        // Consistently shift both sides of the internal identities so
-        // only the registry cross-check can catch the lie.
-        report.retries += 1;
-        let err = audit_serve(&tracer, &report).unwrap_err();
-        assert!(err.to_string().contains("serve.retries"), "{err}");
-    }
-
-    #[test]
-    fn span_divergence_names_the_first_divergent_span() {
-        let (tracer, mut report) = traced_run(FaultStorm::none());
-        // Claim engine 2 dispatched one fewer request than it did: the
-        // trace now carries one span too many, and the auditor must say
-        // which one.
-        report.engines[2].dispatches -= 1;
-        let err = audit_serve(&tracer, &report).unwrap_err();
-        match err {
-            ServeAuditFailure::SpanDivergence {
-                track,
-                engine,
-                index,
-                cycle,
-                expected,
-                got,
-            } => {
-                assert_eq!(track, "eng2");
-                assert_eq!(engine, 2);
-                assert_eq!(got, expected + 1);
-                assert_eq!(index as u64, expected);
-                assert!(cycle <= report.end_cycle);
-                let msg = ServeAuditFailure::SpanDivergence {
-                    track,
-                    engine,
-                    index,
-                    cycle,
-                    expected,
-                    got,
-                }
-                .to_string();
-                assert!(msg.contains("eng2") && msg.contains("diverges"), "{msg}");
-            }
-            other => panic!("expected SpanDivergence, got {other}"),
-        }
-    }
-
-    #[test]
-    fn untraced_runs_fail_the_span_divergence_check() {
-        let tracer = Tracer::new();
-        let (_, report) = traced_run(FaultStorm::none());
-        // A fresh tracer has no spans at all: the per-engine divergence
-        // check reports the trace ran short, at the run's end cycle.
-        let err = audit_serve(&tracer, &report).unwrap_err();
-        match err {
-            ServeAuditFailure::SpanDivergence {
-                index, cycle, got, ..
-            } => {
-                assert_eq!(index, 0);
-                assert_eq!(got, 0);
-                assert_eq!(cycle, report.end_cycle);
-            }
-            other => panic!("expected SpanDivergence, got {other}"),
-        }
-    }
-
-    #[test]
     fn cluster_runs_pass_calm_and_under_shard_kill() {
-        for storm in [
-            FaultStorm::none(),
-            FaultStorm::kill_shard(1, 2, 60_000).merged(FaultStorm::hot_key(3, 40_000, 120_000)),
+        for (tracer, report) in [
+            traced_cluster(FaultStorm::none()),
+            traced_cluster(
+                FaultStorm::kill_shard(1, 2, 60_000)
+                    .merged(FaultStorm::hot_key(3, 40_000, 120_000)),
+            ),
+            traced_pool(FaultStorm::none()),
+            traced_pool(FaultStorm::synth(9, 4, 400_000, 1.5)),
         ] {
-            let (tracer, report) = traced_cluster(storm);
             let s = audit_cluster(&tracer, &report).unwrap();
             assert!(s.events > 0);
             assert!(s.identities > 20);
+        }
+    }
+
+    #[test]
+    fn each_cooked_pool_field_fails_its_own_identity() {
+        // One row per identity: cook one report field (or, for a
+        // registry check whose report field an internal identity also
+        // covers, the exported counter) and the audit must name that
+        // identity.
+        type Cook = fn(&mut ClusterReport, &Tracer);
+        let rows: [(&str, Cook); 8] = [
+            ("arrivals == admitted + shed", |r, _| r.arrivals += 1),
+            ("admitted == completed_eve + completed_fallback", |r, _| {
+                r.completed_fallback += 1
+            }),
+            ("shard 0 engine batch roll-up", |r, _| {
+                r.shards_detail[0].engines[0].dispatches += 1;
+            }),
+            ("shard 0 batches all resolve", |r, _| {
+                r.shards_detail[0].engines[0].failures += 1;
+            }),
+            ("failovers == completed_fallback", |r, _| r.failovers += 1),
+            ("cluster.retries", |r, _| r.retries += 1),
+            ("cluster.failovers", |_, t| t.count("cluster.failovers", 1)),
+            ("cluster.sdc", |r, _| r.sdc += 1),
+        ];
+        for (identity, cook) in rows {
+            let (tracer, mut report) = traced_pool(FaultStorm::synth(9, 4, 400_000, 1.5));
+            audit_cluster(&tracer, &report).unwrap();
+            cook(&mut report, &tracer);
+            let err = audit_cluster(&tracer, &report).unwrap_err();
+            assert!(matches!(err, ServeAuditFailure::Identity { .. }), "{err}");
+            assert!(err.to_string().contains(identity), "{identity}: {err}");
         }
     }
 
@@ -1017,11 +783,6 @@ mod tests {
 
     #[test]
     fn failures_render() {
-        let e = ServeAuditFailure::OverlappingService {
-            track: "eng0",
-            at: 42,
-        };
-        assert!(e.to_string().contains("eng0"));
         let e = ServeAuditFailure::from(AuditError::DroppedEvents { dropped: 2 });
         assert!(e.to_string().contains("dropped"));
     }

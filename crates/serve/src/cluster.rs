@@ -1,8 +1,8 @@
-//! The sharded cluster simulation.
+//! The serving simulation, from one engine pool to a sharded cluster.
 //!
-//! [`ClusterSim`] composes everything the serving layer has grown so
-//! far into one deterministic event loop: N shards (each a pool of
-//! engines with per-engine circuit breakers) behind a seeded
+//! [`ClusterSim`] composes everything the serving layer has into one
+//! deterministic event loop: N shards (each a pool of engines with
+//! per-engine circuit breakers) behind a seeded
 //! consistent-hash [`Router`](crate::Router), per-tenant queues
 //! drained by weighted deficit round-robin
 //! ([`TenantQueues`](crate::TenantQueues)), and request batching that
@@ -15,7 +15,9 @@
 //!   breaker open), arrivals re-route along the hash ring and idle
 //!   shards **work-steal** its queued requests, re-pricing each stolen
 //!   request against the thief's own backlog and failing over the ones
-//!   that can no longer meet their deadline;
+//!   that can no longer meet their deadline; when no shard can serve —
+//!   always the case for a dead single pool, `shards: 1` — queued work
+//!   fails over to the O3+DV path at once;
 //! * a cluster-level **graceful-degradation ladder**
 //!   ([`Ladder`](crate::Ladder)) watches windowed failure rate,
 //!   backlog, and shard availability, and sheds *features → tenants →
@@ -30,24 +32,24 @@ use crate::backoff::{Backoff, BackoffPolicy};
 use crate::batch::BatchPolicy;
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::cluster_report::{
-    ClusterReport, LinkClassReport, LinkReport, ShardReport, TenantReport,
+    ClusterReport, EngineReport, LinkClassReport, LinkReport, ShardReport, TenantReport,
 };
 use crate::degrade::{Ladder, LadderPolicy, ServiceLevel};
 use crate::elastic::{
     ElasticAction, ElasticController, ElasticEvent, ElasticEventKind, ElasticPolicy, ShardSignal,
 };
-use crate::health::spawn_target_ok;
+use crate::health::{apply_signal, signals, spawn_target_ok};
 use crate::net::{DedupTable, Detector, Link, MsgClass, NetCounters, NetPolicy, RttWindow};
 use crate::profile::ServiceProfile;
 use crate::queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};
-use crate::report::EngineReport;
 use crate::router::Router;
 use crate::shape::TrafficShape;
-use crate::sim::ServeError;
 use crate::storm::{FaultStorm, StormEvent, StormEventKind};
 use crate::tenancy::{TenantQueues, TenantSpec};
 use eve_obs::Tracer;
+use eve_sim::EngineHealth;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 /// Work-stealing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,6 +181,45 @@ impl Default for ClusterTraffic {
     }
 }
 
+/// Why a serving run could not be constructed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeError {
+    /// An invalid configuration value.
+    Config(String),
+    /// A malformed storm scenario (an event addressing silicon or a
+    /// shard the run does not have, or a link fault with the transport
+    /// off). Campaigns turn this into an error row instead of aborting.
+    Storm(String),
+    /// No healthy shard anywhere on the ring for a routing key — the
+    /// all-breakers-open cluster. The event loop converts this into a
+    /// shed/fallback decision; it is typed so nothing upstream is
+    /// tempted to `unwrap` it into an abort.
+    Unroutable(crate::router::RouteError),
+    /// A report lacked an expected section (e.g. asking a fault-free
+    /// `eve-sim` run for its resilience ladder) — the typed replacement
+    /// for `expect`-chaining report extraction.
+    Report(String),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::Config(m) => write!(f, "serve config: {m}"),
+            ServeError::Storm(m) => write!(f, "serve storm: {m}"),
+            ServeError::Unroutable(e) => write!(f, "serve routing: {e}"),
+            ServeError::Report(m) => write!(f, "serve report: {m}"),
+        }
+    }
+}
+
+impl From<crate::router::RouteError> for ServeError {
+    fn from(e: crate::router::RouteError) -> Self {
+        ServeError::Unroutable(e)
+    }
+}
+
+impl std::error::Error for ServeError {}
+
 /// Heap events, processed in `(at, seq)` order.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -269,7 +310,7 @@ enum EngineMode {
     Parked,
 }
 
-/// One engine's simulated state (mirrors the single-pool model).
+/// One engine's simulated state.
 struct Engine {
     breaker: CircuitBreaker,
     mode: EngineMode,
@@ -734,6 +775,31 @@ impl ClusterSim {
         self
     }
 
+    /// Applies pre-run health snapshots from the `eve-sim` escalation
+    /// ladder. `health[i]` addresses the same global slot space as
+    /// storms (`shard × slots_per_shard + slot`): that engine boots
+    /// with the snapshot's signals already fed into its breaker, so a
+    /// pool can start with a known-degraded engine isolated before any
+    /// traffic reaches it. Snapshots past the last slot are ignored.
+    #[must_use]
+    pub fn with_initial_health(mut self, health: &[EngineHealth]) -> Self {
+        // Every shard holds `slots_per_shard` engines, so walking them
+        // shard by shard enumerates exactly that slot space.
+        let engines = self.shards.iter_mut().flat_map(|s| &mut s.engines);
+        for (e, h) in engines.zip(health) {
+            for s in signals(h) {
+                apply_signal(&mut e.breaker, s, 0);
+            }
+            if h.degraded {
+                // A ladder degradation means the engine already fell
+                // back to O3+DV: model it as dead silicon.
+                e.dead = true;
+                e.fault_epoch += 1;
+            }
+        }
+        self
+    }
+
     fn push(&mut self, at: u64, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
@@ -918,10 +984,10 @@ impl ClusterSim {
         // Every state change re-evaluates pressure, lets the elastic
         // controller repartition, lets idle shards steal, and pumps
         // whatever became placeable.
-        self.evaluate_ladder();
+        let avail = self.evaluate_ladder();
         self.evaluate_elastic();
         self.steal_pass();
-        self.pump_all();
+        self.pump_all(&avail);
     }
 
     fn on_storm(&mut self, i: usize) {
@@ -1121,10 +1187,17 @@ impl ClusterSim {
         }
     }
 
-    fn pump_all(&mut self) {
+    /// Pumps every shard, given the availability mask this event's
+    /// ladder evaluation computed.
+    fn pump_all(&mut self, avail: &[bool]) {
         // The bottom ladder rung runs nothing on engines: queues drain
-        // straight to the fallback until the ladder climbs back.
-        if self.ladder.level() == ServiceLevel::FallbackOnly {
+        // straight to the fallback until the ladder climbs back. With
+        // the transport off, a cluster where no shard can serve drains
+        // the same way — the rule arrivals already follow — since no
+        // thief can take the work. (With it on, RTO timers fail such
+        // requests over at the router.)
+        let stranded = self.net.is_none() && !avail.contains(&true);
+        if stranded || self.ladder.level() == ServiceLevel::FallbackOnly {
             for s in 0..self.cfg.shards {
                 let drained: Vec<usize> = self.shards[s]
                     .queues
@@ -1470,7 +1543,9 @@ impl ClusterSim {
         }
     }
 
-    fn evaluate_ladder(&mut self) {
+    /// Feeds the ladder this event's pressure and returns the shard
+    /// availability mask it was computed from.
+    fn evaluate_ladder(&mut self) -> Vec<bool> {
         let now = self.now;
         let capacity = (self.cfg.shards * self.cfg.admission.queue_capacity).max(1);
         let queued: usize = self.shards.iter().map(|s| s.queues.len()).sum();
@@ -1481,6 +1556,7 @@ impl ClusterSim {
         if let Some(ev) = self.ladder.evaluate(now, backlog, unavailable) {
             self.instant("ladder", ev.to.as_str(), now);
         }
+        avail
     }
 
     /// Records one reconfiguration event: the controller keeps the
@@ -2211,6 +2287,25 @@ mod tests {
         ClusterSim::new(cfg, profile, traffic, storm).unwrap().run()
     }
 
+    /// A single pool: one shard of `engines` serving one tenant.
+    fn pool_run(engines: usize, storm: FaultStorm) -> ClusterReport {
+        let cfg = ClusterConfig {
+            shards: 1,
+            engines_per_shard: engines,
+            seed: 9,
+            ..ClusterConfig::default()
+        };
+        let traffic = ClusterTraffic {
+            requests: 120,
+            mean_gap: 500,
+            tenants: crate::tenancy::tenant_mix(1),
+            seed: 3,
+            ..ClusterTraffic::default()
+        };
+        let profile = ServiceProfile::synthetic(3, 1000, 4000, engines);
+        ClusterSim::new(cfg, profile, traffic, storm).unwrap().run()
+    }
+
     fn check_conservation(r: &ClusterReport) {
         assert_eq!(
             r.arrivals,
@@ -2271,16 +2366,20 @@ mod tests {
 
     #[test]
     fn a_calm_cluster_serves_everything_at_full_service() {
-        let r = quick(FaultStorm::none());
-        check_conservation(&r);
-        assert_eq!(r.sdc, 0);
-        assert_eq!(r.steals, 0);
-        assert_eq!(r.final_level, ServiceLevel::Full);
-        assert!(r.ladder.is_empty());
-        assert!((r.availability - 1.0).abs() < 1e-12);
-        // Every shard saw traffic: the ring spreads 1024 keys.
-        for (i, s) in r.shards_detail.iter().enumerate() {
-            assert!(s.routed > 0, "shard {i} owned no keys");
+        for r in [quick(FaultStorm::none()), pool_run(4, FaultStorm::none())] {
+            check_conservation(&r);
+            assert_eq!(r.sdc, 0);
+            assert_eq!(r.steals, 0);
+            assert_eq!(r.batch_failures, 0);
+            assert_eq!(r.failovers, 0);
+            assert_eq!(r.final_level, ServiceLevel::Full);
+            assert!(r.ladder.is_empty());
+            assert!((r.availability - 1.0).abs() < 1e-12);
+            assert!(r.p99_sojourn >= r.p50_sojourn);
+            // Every shard saw traffic: the ring spreads 1024 keys.
+            for (i, s) in r.shards_detail.iter().enumerate() {
+                assert!(s.routed > 0, "shard {i} owned no keys");
+            }
         }
     }
 
@@ -2290,6 +2389,168 @@ mod tests {
         let a = quick(storm.clone());
         let b = quick(storm);
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+        let storm = FaultStorm::synth(5, 4, 400_000, 1.5);
+        let a = pool_run(4, storm.clone());
+        let b = pool_run(4, storm);
+        assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+    }
+
+    #[test]
+    fn a_killed_pool_engine_is_isolated_and_work_reroutes() {
+        let r = pool_run(4, FaultStorm::kill_one(1, 50_000));
+        check_conservation(&r);
+        // The dead engine accumulated failures, tripped its breaker,
+        // and everything still completed.
+        let dead = &r.shards_detail[0].engines[1];
+        assert!(dead.failures > 0);
+        assert!(dead.breaker.opened >= 1);
+        assert!(r.availability >= 0.99, "availability {}", r.availability);
+        assert_eq!(r.sdc, 0);
+    }
+
+    #[test]
+    fn a_dead_cluster_fails_its_queues_over_to_o3dv() {
+        // Every engine dead from cycle 0, as a single-engine pool and as
+        // a 2×2 cluster. With no shard able to serve and no thief to
+        // steal, queued work must fail over at once rather than sit
+        // until the ladder or the end-of-run sweep reaches it.
+        let pool = pool_run(1, FaultStorm::kill_one(0, 0));
+        let cluster = ClusterSim::new(
+            ClusterConfig {
+                shards: 2,
+                engines_per_shard: 2,
+                seed: 9,
+                ..ClusterConfig::default()
+            },
+            ServiceProfile::synthetic(3, 1000, 4000, 2),
+            ClusterTraffic {
+                requests: 200,
+                mean_gap: 500,
+                seed: 3,
+                ..ClusterTraffic::default()
+            },
+            FaultStorm::kill_shard(0, 2, 0).merged(FaultStorm::kill_shard(1, 2, 0)),
+        )
+        .unwrap()
+        .run();
+        // The O3+DV path is ~8x slower than the offered load, so
+        // admission must shed hard, and most of what it admits must
+        // still be served in deadline. Half-open probe windows re-admit
+        // a little optimistically, so this is not a 0.99 scenario.
+        assert!(pool.shed_infeasible > 50, "a dead pool must shed load");
+        assert!(pool.availability >= 0.85, "pool {}", pool.availability);
+        assert!(
+            cluster.availability >= 0.6,
+            "cluster {}",
+            cluster.availability
+        );
+        assert!(cluster.p99_sojourn < 50_000, "p99 {}", cluster.p99_sojourn);
+        for r in [&pool, &cluster] {
+            check_conservation(r);
+            assert!(r.failovers > 0, "all traffic must fail over");
+            assert_eq!(r.completed_eve, 0);
+            assert_eq!(r.completed_fallback, r.admitted);
+            assert_eq!(r.sdc, 0);
+        }
+    }
+
+    #[test]
+    fn unchecked_pools_pass_silent_corruption_through() {
+        let run = |checked: bool| {
+            let cfg = ClusterConfig {
+                shards: 1,
+                engines_per_shard: 2,
+                checked,
+                seed: 9,
+                ..ClusterConfig::default()
+            };
+            let traffic = ClusterTraffic {
+                requests: 100,
+                mean_gap: 800,
+                deadline_slack: 8.0,
+                tenants: crate::tenancy::tenant_mix(1),
+                seed: 3,
+                ..ClusterTraffic::default()
+            };
+            let storm = FaultStorm {
+                events: vec![StormEvent {
+                    at: 10_000,
+                    engine: 0,
+                    kind: StormEventKind::Silent { duration: 200_000 },
+                }],
+            };
+            let profile = ServiceProfile::synthetic(2, 1000, 4000, 2);
+            ClusterSim::new(cfg, profile, traffic, storm).unwrap().run()
+        };
+        let unchecked = run(false);
+        check_conservation(&unchecked);
+        assert!(unchecked.sdc > 0, "silent windows must corrupt results");
+        let checked = run(true);
+        check_conservation(&checked);
+        assert_eq!(checked.sdc, 0, "checking converts SDCs into retries");
+        assert!(checked.batch_failures > 0);
+    }
+
+    #[test]
+    fn overload_sheds_instead_of_collapsing() {
+        let cfg = ClusterConfig {
+            shards: 1,
+            engines_per_shard: 1,
+            seed: 1,
+            ..ClusterConfig::default()
+        };
+        // Arrivals far faster than one engine can serve.
+        let traffic = ClusterTraffic {
+            requests: 300,
+            mean_gap: 50,
+            deadline_slack: 3.0,
+            tenants: crate::tenancy::tenant_mix(1),
+            seed: 8,
+            ..ClusterTraffic::default()
+        };
+        let profile = ServiceProfile::synthetic(1, 2000, 6000, 1);
+        let r = ClusterSim::new(cfg, profile, traffic, FaultStorm::none())
+            .unwrap()
+            .run();
+        assert!(
+            r.shed_capacity + r.shed_infeasible > 0,
+            "overload must shed"
+        );
+        // Admitted requests still all complete.
+        check_conservation(&r);
+    }
+
+    #[test]
+    fn initial_degraded_health_pre_isolates_an_engine() {
+        let degraded = EngineHealth {
+            degraded: true,
+            ..EngineHealth::default()
+        };
+        let cfg = ClusterConfig {
+            shards: 1,
+            engines_per_shard: 2,
+            seed: 4,
+            ..ClusterConfig::default()
+        };
+        let traffic = ClusterTraffic {
+            requests: 50,
+            mean_gap: 2_000,
+            tenants: crate::tenancy::tenant_mix(1),
+            seed: 2,
+            ..ClusterTraffic::default()
+        };
+        let profile = ServiceProfile::synthetic(1, 1000, 4000, 2);
+        let r = ClusterSim::new(cfg, profile, traffic, FaultStorm::none())
+            .unwrap()
+            .with_initial_health(&[degraded, EngineHealth::default()])
+            .run();
+        check_conservation(&r);
+        // Engine 0 booted open; the probe after cooldown fast-fails,
+        // but engine 1 carries the traffic.
+        let engines = &r.shards_detail[0].engines;
+        assert!(engines[1].completions > 0);
+        assert_eq!(engines[0].completions, 0);
+        assert!(engines[0].dead);
     }
 
     #[test]
@@ -2534,6 +2795,18 @@ mod tests {
         .err()
         .unwrap();
         assert!(matches!(err, ServeError::Storm(_)), "{err}");
+        // A single pool addresses its engines the same way.
+        let pool = ClusterConfig { shards: 1, ..cfg };
+        let err = ClusterSim::new(
+            pool,
+            profile.clone(),
+            ClusterTraffic::default(),
+            FaultStorm::kill_one(7, 1_000),
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(err, ServeError::Storm(_)), "{err}");
+        assert!(err.to_string().contains("engine 7"), "{err}");
         let err = ClusterSim::new(
             cfg,
             profile,

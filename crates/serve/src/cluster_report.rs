@@ -1,16 +1,52 @@
 //! The cluster run's result document.
 //!
-//! [`ClusterReport`] extends the single-pool [`crate::ServeReport`]
-//! shape with per-shard routing/stealing tallies, per-tenant service
-//! accounting, and the degradation-ladder history. Rendering uses the
+//! [`ClusterReport`] carries the request-level service metrics
+//! (availability, goodput, deadline-miss rate, p50/p99 sojourn), the
+//! per-shard routing/stealing tallies with a per-engine breaker section
+//! ([`EngineReport`]), per-tenant service accounting, and the
+//! degradation-ladder history. Rendering uses the
 //! repo's deterministic JSON builder, so two identical runs — at any
 //! campaign thread count — produce byte-identical documents.
 
+use crate::breaker::{BreakerState, BreakerStats};
 use crate::degrade::{LadderEvent, ServiceLevel};
 use crate::elastic::ElasticEvent;
 use crate::net::{ClassStats, DetectorEvent, MsgClass, NetCounters};
-use crate::report::EngineReport;
 use eve_common::json::JsonValue;
+
+/// One pool engine's tallies after a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineReport {
+    /// Requests placed on this engine (probes included).
+    pub dispatches: u64,
+    /// Requests it completed successfully.
+    pub completions: u64,
+    /// Detected failures it produced.
+    pub failures: u64,
+    /// Whether the engine was dead when the run ended.
+    pub dead: bool,
+    /// Breaker state when the run ended.
+    pub final_state: BreakerState,
+    /// Breaker transition counters.
+    pub breaker: BreakerStats,
+}
+
+impl EngineReport {
+    /// Deterministic JSON form.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("dispatches", JsonValue::from(self.dispatches)),
+            ("completions", JsonValue::from(self.completions)),
+            ("failures", JsonValue::from(self.failures)),
+            ("dead", JsonValue::from(self.dead)),
+            ("state", JsonValue::from(self.final_state.as_str())),
+            ("opened", JsonValue::from(self.breaker.opened)),
+            ("reclosed", JsonValue::from(self.breaker.reclosed)),
+            ("probes", JsonValue::from(self.breaker.probes)),
+        ])
+    }
+}
 
 /// One shard's tallies after a cluster run.
 #[derive(Debug, Clone, PartialEq)]
@@ -487,7 +523,6 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::{BreakerState, BreakerStats};
 
     fn sample() -> ClusterReport {
         ClusterReport {

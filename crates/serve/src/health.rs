@@ -11,7 +11,7 @@
 //! [`apply_signal`] feeds one into a breaker.
 
 use crate::breaker::CircuitBreaker;
-use crate::sim::ServeError;
+use crate::cluster::ServeError;
 use eve_sim::EngineHealth;
 
 /// One discrete health observation about an engine, ordered roughly

@@ -20,26 +20,26 @@
 //!   deadline-feasibility bound says admission would be wasted work.
 //! - [`FaultStorm`] scripts engine-health timelines (brownouts, silent
 //!   windows, kills) deterministically from a seed.
-//! - [`ServeSim`] ties it together on a simulated clock and produces a
-//!   [`ServeReport`]; [`audit_serve`] replays a traced run against the
-//!   report and enforces the serving conservation identities.
 //!
-//! At fleet scale, [`ClusterSim`] grows the single pool into a sharded
-//! cluster: a seeded consistent-hash [`Router`] places requests across
-//! N shards, [`TenantQueues`] drain fair-share multi-tenant traffic by
-//! weighted deficit round-robin, [`BatchPolicy`] coalesces same-kernel
-//! requests into amortized dispatches, idle shards work-steal from
-//! unroutable peers, and the [`Ladder`] degrades service gracefully
-//! (full → batch-only → shed low-weight tenants → fallback-only)
-//! instead of collapsing. The [`ElasticController`] makes the
-//! engine/L2-way split itself elastic: it spawns engines under vector
-//! pressure (paying the measured way-partition flush cost), retires
-//! them through a safe drain when traffic recedes, and guards the
-//! partition with dwell hysteresis, a thrash window, and rollback.
-//! [`audit_cluster`] extends the replay identity to routing, stealing,
-//! shedding, and reconfiguration decisions. Arrivals
-//! come from a seeded [`TrafficShape`] — the uniform baseline, a
-//! diurnal load curve, count-based bursts, or a periodic hot-key
+//! [`ClusterSim`] ties it together on a simulated clock. A chip's
+//! serving pool is the one-shard case (`shards: 1`, one engine per
+//! core's L2 slice); at fleet scale a seeded consistent-hash [`Router`]
+//! places requests across N shards, [`TenantQueues`] drain fair-share
+//! multi-tenant traffic by weighted deficit round-robin,
+//! [`BatchPolicy`] coalesces same-kernel requests into amortized
+//! dispatches, idle shards work-steal from unroutable peers, and the
+//! [`Ladder`] degrades service gracefully (full → batch-only → shed
+//! low-weight tenants → fallback-only) instead of collapsing. When no
+//! shard can serve at all, queued work fails over to the O3+DV path.
+//! The [`ElasticController`] makes the engine/L2-way split itself
+//! elastic: it spawns engines under vector pressure (paying the
+//! measured way-partition flush cost), retires them through a safe
+//! drain when traffic recedes, and guards the partition with dwell
+//! hysteresis, a thrash window, and rollback. [`audit_cluster`] replays
+//! a traced run against its [`ClusterReport`]: request conservation
+//! plus routing, stealing, shedding, and reconfiguration decisions.
+//! Arrivals come from a seeded [`TrafficShape`] — the uniform baseline,
+//! a diurnal load curve, count-based bursts, or a periodic hot-key
 //! storm — all pure functions of the traffic seed.
 //!
 //! The [`net`] module makes the router↔shard wire itself unreliable:
@@ -58,20 +58,26 @@
 //! # Examples
 //!
 //! ```
-//! use eve_serve::{FaultStorm, ServeConfig, ServeSim, ServiceProfile, TrafficConfig};
+//! use eve_serve::{
+//!     tenant_mix, ClusterConfig, ClusterSim, ClusterTraffic, FaultStorm, ServiceProfile,
+//! };
 //!
+//! // One chip: a single shard of four engines serving one tenant.
+//! let cfg = ClusterConfig {
+//!     shards: 1,
+//!     engines_per_shard: 4,
+//!     ..ClusterConfig::default()
+//! };
+//! let traffic = ClusterTraffic {
+//!     tenants: tenant_mix(1),
+//!     ..ClusterTraffic::default()
+//! };
 //! let profile = ServiceProfile::synthetic(3, 1_000, 4_000, 4);
 //! let storm = FaultStorm::kill_one(1, 50_000);
-//! let report = ServeSim::new(
-//!     ServeConfig::default(),
-//!     profile,
-//!     TrafficConfig::default(),
-//!     storm,
-//! )
-//! .unwrap()
-//! .run();
+//! let report = ClusterSim::new(cfg, profile, traffic, storm).unwrap().run();
 //! // One dead engine out of four: the breaker isolates it and the
 //! // pool keeps serving.
+//! assert!(report.shards_detail[0].engines[1].breaker.opened >= 1);
 //! assert!(report.availability >= 0.99);
 //! assert_eq!(report.sdc, 0);
 //! ```
@@ -88,21 +94,17 @@ pub mod health;
 pub mod net;
 pub mod profile;
 pub mod queue;
-pub mod report;
 pub mod router;
 pub mod shape;
-pub mod sim;
 pub mod storm;
 pub mod tenancy;
 
-pub use audit::{
-    audit_cluster, audit_serve, ClusterAuditSummary, ServeAuditFailure, ServeAuditSummary,
-};
+pub use audit::{audit_cluster, ClusterAuditSummary, ServeAuditFailure};
 pub use backoff::{Backoff, BackoffPolicy};
 pub use batch::BatchPolicy;
 pub use breaker::{BreakerPolicy, BreakerState, BreakerStats, CircuitBreaker};
-pub use cluster::{ClusterConfig, ClusterSim, ClusterTraffic, StealPolicy};
-pub use cluster_report::{ClusterReport, ShardReport, TenantReport};
+pub use cluster::{ClusterConfig, ClusterSim, ClusterTraffic, ServeError, StealPolicy};
+pub use cluster_report::{ClusterReport, EngineReport, ShardReport, TenantReport};
 pub use degrade::{Ladder, LadderEvent, LadderPolicy, ServiceLevel};
 pub use elastic::{
     ElasticAction, ElasticController, ElasticEvent, ElasticEventKind, ElasticPolicy, ShardSignal,
@@ -114,10 +116,8 @@ pub use net::{
 };
 pub use profile::ServiceProfile;
 pub use queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};
-pub use report::{EngineReport, ServeReport};
 pub use router::RouteError;
 pub use router::Router;
 pub use shape::{arrivals, Arrival, TrafficShape};
-pub use sim::{ServeConfig, ServeError, ServeSim, TrafficConfig};
 pub use storm::{FaultStorm, StormEvent, StormEventKind};
 pub use tenancy::{tenant_mix, TenantQueues, TenantSpec};

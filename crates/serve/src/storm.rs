@@ -36,8 +36,7 @@ pub enum StormEventKind {
     /// Cluster-scoped: the *shard* named by the event's `engine` field
     /// is network-isolated for `duration` cycles — no dispatches land,
     /// in-flight work fails detected, and the router treats the shard
-    /// as unavailable. Rejected by single-pool [`crate::ServeSim`]
-    /// runs (a pool has no shards).
+    /// as unavailable. On a one-shard pool that is the whole pool.
     ShardPartition {
         /// Partition length in cycles.
         duration: u64,
@@ -45,8 +44,8 @@ pub enum StormEventKind {
     /// Cluster-scoped traffic shaping rather than a silicon fault:
     /// while the window lasts, most arrivals draw `key` instead of a
     /// uniform routing key, hammering whichever shard owns it. The
-    /// event's `engine` field is ignored. Rejected by single-pool
-    /// runs.
+    /// event's `engine` field is ignored (a one-shard pool routes
+    /// every key to its only shard).
     HotKeySkew {
         /// The hammered routing key.
         key: u64,
@@ -72,7 +71,9 @@ pub enum StormEventKind {
 pub struct StormEvent {
     /// When the event fires.
     pub at: u64,
-    /// Which pool engine it hits.
+    /// Which engine it hits, in the cluster's slot space
+    /// (`shard × slots_per_shard + slot`); the shard or link for
+    /// cluster-scoped kinds.
     pub engine: usize,
     /// What it does.
     pub kind: StormEventKind,

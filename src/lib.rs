@@ -14,8 +14,9 @@
 //! * [`eve_analytical`] — §II taxonomy spectrum and §VI area/timing
 //! * [`eve_workloads`] — the Rodinia/RiVEC-style kernels (Table IV)
 //! * [`eve_sim`] — Table III system assembly and the experiment runner
-//! * [`eve_serve`] — the resilient multi-engine serving layer (pool,
-//!   breakers, deadlines, fault storms)
+//! * [`eve_serve`] — the resilient serving layer: one event loop from a
+//!   one-shard engine pool to a sharded cluster (breakers, deadlines,
+//!   fault storms)
 //!
 //! # Quickstart
 //!
