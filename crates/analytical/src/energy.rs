@@ -41,54 +41,15 @@ pub fn uop_energy(uop: &ArithUop) -> f64 {
 
 /// Total energy of one μprogram execution, in read-equivalents per
 /// active array (sums the arithmetic μops actually executed).
+///
+/// # Panics
+///
+/// Panics on malformed programs, like [`eve_uop::walk`].
 #[must_use]
-pub fn program_energy(prog: &MicroProgram, cfg: HybridConfig) -> f64 {
-    // Execute the counter/control flow to know which tuples run and
-    // how often — same walk as `eve_uop::count_cycles`.
-    use eve_uop::{ControlUop, CounterFile, CounterUop};
-    let mut counters = CounterFile::new();
-    let mut pc = 0usize;
+pub fn program_energy(prog: &MicroProgram, _cfg: HybridConfig) -> f64 {
     let mut energy = 0.0;
-    let tuples = prog.tuples();
-    let _ = cfg;
-    let mut steps = 0u64;
-    loop {
-        let t = &tuples[pc];
-        steps += 1;
-        assert!(steps < 1_000_000, "runaway program {}", prog.name());
-        energy += uop_energy(&t.arith);
-        match t.counter {
-            CounterUop::Nop => {}
-            CounterUop::Init { ctr, value } => counters.init(ctr, value),
-            CounterUop::Decr(ctr) => counters.decr(ctr),
-            CounterUop::Incr(ctr) => counters.incr(ctr),
-        }
-        match t.control {
-            ControlUop::Nop => pc += 1,
-            ControlUop::Bnz { ctr, target } => {
-                if counters.take_zero_flag(ctr) {
-                    pc += 1;
-                } else {
-                    pc = target as usize;
-                }
-            }
-            ControlUop::BnzRet { ctr, target } => {
-                if counters.take_zero_flag(ctr) {
-                    return energy;
-                }
-                pc = target as usize;
-            }
-            ControlUop::Bnd { ctr, target } => {
-                if counters.take_decade_flag(ctr) {
-                    pc = target as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            ControlUop::Jump { target } => pc = target as usize,
-            ControlUop::Ret => return energy,
-        }
-    }
+    eve_uop::walk(prog, |arith, _| energy += uop_energy(arith));
+    energy
 }
 
 /// Per-element energy of a macro-operation at a design point: program

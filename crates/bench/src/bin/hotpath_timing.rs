@@ -1,27 +1,23 @@
-//! Hot-path wall-clock timings across the executor tier ladder: the
-//! lane-serial scalar oracle (tier 0), the lane-bitsliced interpreter
-//! (tier 1), and the fused/specialized compiled programs (tier 2),
-//! plus end-to-end sweep timings. Seeds the perf trajectory — results
-//! land in `BENCH_hotpath.json` (override with `--out PATH`, or
-//! `--out -` for stdout only).
+//! Hot-path wall-clock timings of μprogram execution — the lane-serial
+//! scalar oracle against the lane-bitsliced interpreter — plus
+//! end-to-end sweep timings. Seeds the perf trajectory — results land
+//! in `BENCH_hotpath.json` (override with `--out PATH`, or `--out -`
+//! for stdout only).
 //!
 //! ```text
 //! hotpath_timing [--tiny] [--out PATH] [--assert-speedup X]
-//!                [--assert-tier-speedup X]
 //! ```
 //!
 //! `--assert-speedup X` exits nonzero unless the geomean speedup of
-//! the compiled tier over the scalar oracle is at least `X`;
-//! `--assert-tier-speedup X` gates the compiled tier's additional
-//! geomean over the interpreter (CI pins both).
+//! the interpreter over the scalar oracle is at least `X` (CI pins
+//! it).
 
 use eve_bench::{fmt_x, pool, render_table};
 use eve_common::json::JsonValue;
 use eve_sim::experiments::workload_perf;
 use eve_sim::fault::{campaign_json, FaultPlan};
-use eve_sim::{Runner, SystemKind};
 use eve_sram::{Binding, EveArray, ScalarArray};
-use eve_uop::{fuse, HybridConfig, MacroOpKind, ProgramLibrary};
+use eve_uop::{HybridConfig, MacroOpKind, ProgramLibrary};
 use eve_workloads::Workload;
 use std::time::Instant;
 
@@ -72,91 +68,59 @@ fn main() {
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let assert_speedup: Option<f64> = flag_value(&args, "--assert-speedup")
         .map(|v| v.parse().expect("--assert-speedup takes a float"));
-    let assert_tier: Option<f64> = flag_value(&args, "--assert-tier-speedup")
-        .map(|v| v.parse().expect("--assert-tier-speedup takes a float"));
     let budget_ms: u128 = if tiny { 20 } else { 80 };
 
     let binding = Binding::new(3, 1, 2);
     let mut per_config = Vec::new();
     let mut table = Vec::new();
-    let mut log_interp = 0.0;
-    let mut log_compiled = 0.0;
-    let mut log_tier = 0.0;
+    let mut log_speedup = 0.0;
     for cfg in HybridConfig::all() {
         let lib = ProgramLibrary::new(cfg);
         let progs: Vec<_> = MIX.iter().map(|&k| lib.program(k)).collect();
-        let compiled: Vec<_> = progs.iter().map(|p| fuse::compile(p, cfg, LANES)).collect();
         let mut fast = EveArray::new(cfg, LANES);
-        let mut tier2 = EveArray::new(cfg, LANES);
         let mut slow = ScalarArray::new(cfg, LANES);
         for lane in 0..LANES {
             for reg in [1u32, 2, 3] {
                 let v = seed_value(lane, reg);
                 fast.write_element(reg, lane, v);
-                tier2.write_element(reg, lane, v);
                 slow.write_element(reg, lane, v);
             }
         }
-        // Cross-check before timing: all three tiers must agree
+        // Cross-check before timing: both executors must agree
         // lane-for-lane on the mix.
-        for (prog, cp) in progs.iter().zip(&compiled) {
+        for prog in &progs {
             fast.execute(prog, &binding);
-            tier2.execute_compiled(cp, &binding);
             slow.execute(prog, &binding);
         }
         for lane in 0..LANES {
-            let want = slow.read_element(3, lane);
             assert_eq!(
                 fast.read_element(3, lane),
-                want,
+                slow.read_element(3, lane),
                 "{cfg}: interpreter diverges at lane {lane}"
-            );
-            assert_eq!(
-                tier2.read_element(3, lane),
-                want,
-                "{cfg}: compiled tier diverges at lane {lane}"
             );
         }
         let fast_ns = ns_per_cycle(budget_ms, || {
             progs.iter().map(|p| fast.execute(p, &binding).0).sum()
         });
-        let tier2_ns = ns_per_cycle(budget_ms, || {
-            compiled
-                .iter()
-                .map(|cp| tier2.execute_compiled(cp, &binding).0)
-                .sum()
-        });
         let slow_ns = ns_per_cycle(budget_ms, || {
             progs.iter().map(|p| slow.execute(p, &binding).0).sum()
         });
-        let interp_speedup = slow_ns / fast_ns;
-        let compiled_speedup = slow_ns / tier2_ns;
-        let tier_speedup = fast_ns / tier2_ns;
-        log_interp += interp_speedup.ln();
-        log_compiled += compiled_speedup.ln();
-        log_tier += tier_speedup.ln();
+        let speedup = slow_ns / fast_ns;
+        log_speedup += speedup.ln();
         table.push(vec![
             cfg.to_string(),
             format!("{slow_ns:.1}"),
             format!("{fast_ns:.1}"),
-            format!("{tier2_ns:.1}"),
-            fmt_x(compiled_speedup),
-            fmt_x(tier_speedup),
+            fmt_x(speedup),
         ]);
         per_config.push(JsonValue::object([
             ("n", u64::from(cfg.segment_bits()).into()),
             ("scalar_ns_per_cycle", slow_ns.into()),
             ("bitsliced_ns_per_cycle", fast_ns.into()),
-            ("compiled_ns_per_cycle", tier2_ns.into()),
-            ("speedup", compiled_speedup.into()),
-            ("interpreter_speedup", interp_speedup.into()),
-            ("tier_speedup", tier_speedup.into()),
+            ("speedup", speedup.into()),
         ]));
     }
-    let configs = HybridConfig::all().len() as f64;
-    let geomean = (log_compiled / configs).exp();
-    let geomean_interp = (log_interp / configs).exp();
-    let geomean_tier = (log_tier / configs).exp();
+    let geomean = (log_speedup / HybridConfig::all().len() as f64).exp();
 
     // End-to-end sweeps: the tiny fig6 matrix (parallel driver) and a
     // small fault campaign (serial API), both wall-clock.
@@ -165,19 +129,6 @@ fn main() {
     let perf = pool::run_jobs(suite.len(), |i| workload_perf(&suite[i]));
     assert!(perf.iter().all(Result::is_ok), "fig6 sweep failed");
     let fig6_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Engine-side tier ladder over the Table IV tiny suite: the VSU's
-    // modeled program cache must show real reuse (CI gates hits > 0).
-    let runner = Runner::new();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut tier2_fused = 0u64;
-    for w in &suite {
-        let r = runner.run(SystemKind::EveN(8), w).expect("eve8 run");
-        cache_hits += r.stats.get("vsu.uprog_cache_hits");
-        cache_misses += r.stats.get("vsu.uprog_cache_misses");
-        tier2_fused += r.stats.get("vsu.uprog_tier2_fused");
-    }
 
     let plan = FaultPlan {
         rates: vec![0.0, 1e-3],
@@ -196,22 +147,6 @@ fn main() {
         ),
         ("per_config", JsonValue::Array(per_config)),
         ("geomean_speedup", geomean.into()),
-        ("geomean_interpreter_speedup", geomean_interp.into()),
-        ("geomean_tier_speedup", geomean_tier.into()),
-        (
-            "tier",
-            JsonValue::object([
-                ("suite", "table4_tiny".into()),
-                ("system", "eve8".into()),
-                ("uprog_cache_hits", cache_hits.into()),
-                ("uprog_cache_misses", cache_misses.into()),
-                ("uprog_tier2_fused", tier2_fused.into()),
-                (
-                    "uprog_cache_hit_rate",
-                    (cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64).into(),
-                ),
-            ]),
-        ),
         (
             "sweeps",
             JsonValue::object([
@@ -228,30 +163,15 @@ fn main() {
         std::fs::write(&out_path, format!("{rendered}\n")).expect("write BENCH_hotpath.json");
     }
 
-    println!("Hot path: μprogram execution, {LANES} lanes, tier ladder (scalar → interpreter → compiled)");
+    println!("Hot path: μprogram execution, {LANES} lanes (scalar oracle → bitsliced interpreter)");
     println!(
         "{}",
         render_table(
-            &[
-                "config",
-                "scalar ns/cyc",
-                "interp ns/cyc",
-                "compiled ns/cyc",
-                "speedup",
-                "tier gain"
-            ],
+            &["config", "scalar ns/cyc", "interp ns/cyc", "speedup"],
             &table
         )
     );
-    println!(
-        "geomean speedup: {} (interpreter {}, compiled tier gain {})",
-        fmt_x(geomean),
-        fmt_x(geomean_interp),
-        fmt_x(geomean_tier)
-    );
-    println!(
-        "table4 tiny suite (eve8): {cache_hits} μprog cache hits / {cache_misses} misses, {tier2_fused} fused ops retired"
-    );
+    println!("geomean speedup: {}", fmt_x(geomean));
     println!("fig6 --tiny sweep: {fig6_ms:.0} ms   fault campaign (small): {campaign_ms:.0} ms");
     if out_path != "-" {
         println!("wrote {out_path}");
@@ -260,12 +180,6 @@ fn main() {
         assert!(
             geomean >= min,
             "geomean speedup {geomean:.2}x below required {min:.2}x"
-        );
-    }
-    if let Some(min) = assert_tier {
-        assert!(
-            geomean_tier >= min,
-            "geomean tier speedup {geomean_tier:.2}x below required {min:.2}x"
         );
     }
 }

@@ -9,9 +9,8 @@ use eve_isa::{Inst, MemEffect, RegId, Retired, VStride};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
 use eve_obs::Tracer;
 use eve_sram::{LayoutModel, SramGeometry};
-use eve_uop::fuse::{self, TierProfile, TierStats};
 use eve_uop::{HybridConfig, LatencyTable, MacroOpKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Static track names for the first DTUs; higher slots share "dtu".
 #[cfg(feature = "obs")]
@@ -169,13 +168,6 @@ pub struct EveEngine {
     llc_issue_stall: Cycle,
     tlb: Tlb,
     stats: Stats,
-    /// Per-macro-op compiled-tier profiles: the VSU's program cache,
-    /// modeled. A macro-op's first issue is a miss (the specializer
-    /// compiles while the interpreter runs); every later issue retires
-    /// through the compiled tier.
-    uprog_profiles: HashMap<MacroOpKind, TierProfile>,
-    /// Tier-ladder counters mirroring the cache's lifetime.
-    tier: TierStats,
     /// Reused scratch for per-instruction line-request lists, so the
     /// retire hot path allocates nothing.
     line_buf: Vec<u64>,
@@ -238,8 +230,6 @@ impl EveEngine {
             llc_issue_stall: Cycle::ZERO,
             tlb: Tlb::new(),
             stats: Stats::new(),
-            uprog_profiles: HashMap::new(),
-            tier: TierStats::default(),
             line_buf: Vec::new(),
             tracer: None,
         })
@@ -653,33 +643,7 @@ impl EveEngine {
         let masked = matches!(r.inst, Inst::VOp { masked: true, .. });
         let mut total = Cycle(if masked { MASK_PROLOGUE } else { 0 });
         for &op in ops {
-            let cycles = self.lat.latency(op);
-            total += cycles;
-            // Tier ladder: first sight of a macro-op misses the program
-            // cache (the specializer compiles while the interpreter
-            // executes); every later issue retires compiled.
-            match self.uprog_profiles.get(&op) {
-                Some(p) => {
-                    self.tier.hits += 1;
-                    self.tier.record_tier2(p.cycles, p.uops, p.fused);
-                    #[cfg(feature = "obs")]
-                    if let Some(tr) = &self.tracer {
-                        tr.count("uprog_tier2_ops", 1);
-                        tr.count("uprog_tier2_fused", p.fused);
-                    }
-                }
-                None => {
-                    let p = fuse::profile(&self.lat.library().program(op));
-                    debug_assert_eq!(p.cycles, cycles, "{op:?}: profiler drifted");
-                    self.uprog_profiles.insert(op, p);
-                    self.tier.misses += 1;
-                    self.tier.record_tier1(cycles);
-                    #[cfg(feature = "obs")]
-                    if let Some(tr) = &self.tracer {
-                        tr.count("uprog_tier1_ops", 1);
-                    }
-                }
-            }
+            total += self.lat.latency(op);
         }
         self.stats.add("uop_cycles", total.0);
         let deps = self.vreg_dep_time(r);
@@ -833,14 +797,6 @@ impl VectorUnit for EveEngine {
         // stall bucket sums to exactly this (the auditor's identity).
         s.set("vsu.end_cycles", self.vsu_now.0);
         s.set("exec_pipes", self.tuning.exec_pipes as u64);
-        // The μprogram tier ladder (see eve_uop::fuse): cache traffic
-        // and per-tier retirement for every compute macro-op issued.
-        s.set("vsu.uprog_cache_hits", self.tier.hits);
-        s.set("vsu.uprog_cache_misses", self.tier.misses);
-        s.set("vsu.uprog_tier1_cycles", self.tier.tier1_cycles);
-        s.set("vsu.uprog_tier2_cycles", self.tier.tier2_cycles);
-        s.set("vsu.uprog_tier2_uops", self.tier.tier2_uops);
-        s.set("vsu.uprog_tier2_fused", self.tier.tier2_fused);
         s.merge(&self.breakdown.as_stats());
         for (k, v) in self.tlb.stats().iter() {
             s.add(&format!("tlb.{k}"), v);

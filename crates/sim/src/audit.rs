@@ -243,14 +243,87 @@ mod tests {
         assert_eq!(s.tiled, cfg!(feature = "obs"));
     }
 
+    /// Shifts a stats counter by `by`.
+    fn bump(r: &mut RunReport, key: &str, by: i64) {
+        let v = r.stats.get(key);
+        r.stats
+            .set(key, v.checked_add_signed(by).expect("no underflow"));
+    }
+
+    /// The engine's stall breakdown, for cooking.
+    fn breakdown(r: &mut RunReport) -> &mut eve_core::StallBreakdown {
+        r.breakdown.as_mut().expect("EVE run has a breakdown")
+    }
+
+    /// Each row cooks a traced EVE-8 vvadd report and names the check
+    /// that must reject it. The span-only rows keep the stats identity
+    /// balanced, so only the span re-derivation (which needs `obs`)
+    /// sees them; without `obs` they must pass.
     #[test]
     fn a_cooked_timeline_fails_the_identity() {
-        let (tracer, mut report) = traced(SystemKind::EveN(8));
-        let end = report.stats.get("vsu.end_cycles");
-        report.stats.set("vsu.end_cycles", end + 1);
-        let err = audit_run(&tracer, &report).unwrap_err();
-        assert!(matches!(err, AuditFailure::Identity { .. }), "{err}");
-        assert!(err.to_string().contains("timeline"), "{err}");
+        type Cook = fn(&mut RunReport);
+        let rows: [(&str, Cook, &str, bool); 6] = [
+            (
+                "vsu.end_cycles + 1",
+                |r| bump(r, "vsu.end_cycles", 1),
+                "start + spawn + breakdown.total()",
+                false,
+            ),
+            (
+                "cycles below the timeline end",
+                |r| r.cycles.0 = r.stats.get("vsu.end_cycles") - 1,
+                "past run end",
+                false,
+            ),
+            (
+                "one busy cycle moved to dep_stall",
+                |r| {
+                    breakdown(r).busy.0 -= 1;
+                    breakdown(r).dep_stall.0 += 1;
+                },
+                "bucket busy",
+                true,
+            ),
+            (
+                "spawn_commit_cycle and vsu.end_cycles + 1",
+                |r| {
+                    bump(r, "spawn_commit_cycle", 1);
+                    bump(r, "vsu.end_cycles", 1);
+                },
+                "replayed vsu spans start at",
+                true,
+            ),
+            (
+                "vsu.end_cycles and busy + 1",
+                |r| {
+                    bump(r, "vsu.end_cycles", 1);
+                    breakdown(r).busy.0 += 1;
+                },
+                "replayed vsu spans end at",
+                true,
+            ),
+            (
+                "spawn_cycles + 1, busy - 1",
+                |r| {
+                    bump(r, "spawn_cycles", 1);
+                    breakdown(r).busy.0 -= 1;
+                },
+                "replayed spawn span",
+                true,
+            ),
+        ];
+        let (tracer, report) = traced(SystemKind::EveN(8));
+        for (what, cook, check, span_only) in rows {
+            let mut cooked = report.clone();
+            cook(&mut cooked);
+            let verdict = audit_run(&tracer, &cooked);
+            if span_only && !cfg!(feature = "obs") {
+                assert!(verdict.is_ok(), "{what}: stats identity must balance");
+                continue;
+            }
+            let err = verdict.expect_err(what);
+            assert!(err.to_string().contains(check), "{what}: {err}");
+        }
     }
 
     #[test]

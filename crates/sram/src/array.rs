@@ -9,11 +9,11 @@
 //! `carry' = (a & b) | (carry & (a ^ b))` evaluated once per bit
 //! position. See DESIGN.md, "Lane-bitsliced data layout".
 //!
-//! The executor runs complete μprograms: counter and control μops like
-//! the VSU, arithmetic μops like the circuits. Timing semantics match
-//! `eve_uop::latency`: one tuple per cycle, every μop in a tuple reads
-//! start-of-cycle state, and only the fused control μop observes its
-//! counter update.
+//! The executor runs complete μprograms: [`eve_uop::walk`] sequences
+//! the counter and control μops like the VSU, and each arithmetic μop
+//! acts on the cells like the circuits. One tuple takes one cycle,
+//! every μop in a tuple reads start-of-cycle state, and only the fused
+//! control μop observes its counter update.
 //!
 //! When a `FaultInjector` is attached, the affected data paths fall
 //! back to lane-serial loops so injector callbacks fire per lane in
@@ -26,12 +26,10 @@ use crate::fault::FaultInjector;
 use crate::geometry::DEFAULT_SPARE_ROWS;
 use eve_common::bits::{deposit_bits, extract_bits};
 use eve_common::Cycle;
-use eve_uop::fuse::{self, CompiledOp, CompiledProgram, LatchKeep, ProgramCache};
 use eve_uop::{
-    ArithUop, CarryIn, ComputeSrc, ControlUop, CounterFile, CounterUop, HybridConfig, MacroOpKind,
-    MaskSrc, MicroProgram, Operand, ProgramLibrary, SegSel, VSlot, WbDest,
+    ArithUop, CarryIn, ComputeSrc, CounterFile, HybridConfig, MaskSrc, MicroProgram, Operand,
+    SegSel, VSlot, WbDest,
 };
-use std::sync::Arc;
 
 /// Number of architectural vector registers (RVV: `v0`–`v31`).
 pub const ARCH_VREGS: u32 = 32;
@@ -198,103 +196,6 @@ fn word_bit(plane: &[u64], lane: usize) -> bool {
 #[inline]
 fn blend(dst: u64, src: u64, m: u64) -> u64 {
     dst ^ ((dst ^ src) & m)
-}
-
-/// One source row out of the two halves `split_at_mut` left around the
-/// destination row `d` (rows are `pl` words each).
-#[inline]
-fn side_row<'s>(left: &'s [u64], right: &'s [u64], pl: usize, d: usize, r: usize) -> &'s [u64] {
-    if r < d {
-        &left[r * pl..(r + 1) * pl]
-    } else {
-        &right[(r - d - 1) * pl..(r - d) * pl]
-    }
-}
-
-/// Disjoint borrows of two source rows and the destination row from
-/// the packed storage. Requires `d != a` and `d != b` (`a == b` is
-/// fine — both land on the same shared slice).
-#[inline]
-fn rows_abd(
-    storage: &mut [u64],
-    pl: usize,
-    a: usize,
-    b: usize,
-    d: usize,
-) -> (&[u64], &[u64], &mut [u64]) {
-    debug_assert!(d != a && d != b, "destination row aliases a source");
-    let (left, rest) = storage.split_at_mut(d * pl);
-    let (drow, right) = rest.split_at_mut(pl);
-    let (left, right) = (&*left, &*right);
-    (
-        side_row(left, right, pl, d, a),
-        side_row(left, right, pl, d, b),
-        drow,
-    )
-}
-
-/// Disjoint borrows of one source row and the destination row.
-/// Requires `s != d`.
-#[inline]
-fn rows_sd(storage: &mut [u64], pl: usize, s: usize, d: usize) -> (&[u64], &mut [u64]) {
-    debug_assert!(s != d, "destination row aliases the source");
-    let (left, rest) = storage.split_at_mut(d * pl);
-    let (drow, right) = rest.split_at_mut(pl);
-    (side_row(&*left, &*right, pl, d, s), drow)
-}
-
-/// The writeback-plane selector of a fused op, as lane masks: exactly
-/// one of `and`/`or`/`xor`/`sum` is all-ones, and `neg` is all-ones
-/// for the complemented sources (applied against the live-lane mask).
-#[derive(Clone, Copy)]
-struct PlaneSel {
-    and: u64,
-    or: u64,
-    xor: u64,
-    sum: u64,
-    neg: u64,
-}
-
-impl PlaneSel {
-    #[inline]
-    fn of(src: ComputeSrc) -> Self {
-        let (and, or, xor, sum, neg) = match src {
-            ComputeSrc::And => (!0u64, 0, 0, 0, 0),
-            ComputeSrc::Nand => (!0, 0, 0, 0, !0),
-            ComputeSrc::Or => (0, !0, 0, 0, 0),
-            ComputeSrc::Nor => (0, !0, 0, 0, !0),
-            ComputeSrc::Xor => (0, 0, !0, 0, 0),
-            ComputeSrc::Xnor => (0, 0, !0, 0, !0),
-            ComputeSrc::Add => (0, 0, 0, !0, 0),
-            ComputeSrc::Shift | ComputeSrc::Mask => {
-                unreachable!("fuser only fuses latch-plane writebacks")
-            }
-        };
-        Self {
-            and,
-            or,
-            xor,
-            sum,
-            neg,
-        }
-    }
-}
-
-/// One packed word of a fused compute+writeback: advances the carry
-/// recurrence and blends the selected plane into `d` under the store
-/// mask `sm` (`f` is the live-lane mask for complements). Branchless
-/// so the word loops vectorize.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fused_word(av: u64, bv: u64, c: &mut u64, f: u64, sm: u64, d: &mut u64, sel: PlaneSel) {
-    let and = av & bv;
-    let or = av | bv;
-    let xor = av ^ bv;
-    let cin = *c;
-    let sum = xor ^ cin;
-    *c = and | (cin & xor);
-    let v = ((and & sel.and) | (or & sel.or) | (xor & sel.xor) | (sum & sel.sum)) ^ (sel.neg & f);
-    *d = blend(*d, v, sm);
 }
 
 /// Latched outputs of the last bit-line compute, as lane bit-planes.
@@ -961,292 +862,12 @@ impl EveArray {
     /// Panics on malformed programs (runaway loops, out-of-range rows) —
     /// generator bugs, not user errors.
     pub fn execute(&mut self, prog: &MicroProgram, binding: &Binding) -> Cycle {
-        let mut counters = CounterFile::new();
-        let mut pc: usize = 0;
-        let mut cycles: u64 = 0;
-        let tuples = prog.tuples();
-        loop {
-            assert!(pc < tuples.len(), "{}: pc {pc} off the end", prog.name());
-            let tuple = &tuples[pc];
-            cycles += 1;
-            assert!(cycles < 2_000_000, "{}: runaway program", prog.name());
+        eve_uop::walk(prog, |arith, counters| {
             if let Some(f) = &mut self.fault {
                 f.inj.tick();
             }
-            // Arithmetic resolves rows against start-of-cycle counters.
-            self.exec_arith(&tuple.arith, binding, &counters);
-            match tuple.counter {
-                CounterUop::Nop => {}
-                CounterUop::Init { ctr, value } => counters.init(ctr, value),
-                CounterUop::Decr(ctr) => counters.decr(ctr),
-                CounterUop::Incr(ctr) => counters.incr(ctr),
-            }
-            match tuple.control {
-                ControlUop::Nop => pc += 1,
-                ControlUop::Bnz { ctr, target } => {
-                    if counters.take_zero_flag(ctr) {
-                        pc += 1;
-                    } else {
-                        pc = target as usize;
-                    }
-                }
-                ControlUop::BnzRet { ctr, target } => {
-                    if counters.take_zero_flag(ctr) {
-                        return Cycle(cycles);
-                    }
-                    pc = target as usize;
-                }
-                ControlUop::Bnd { ctr, target } => {
-                    if counters.take_decade_flag(ctr) {
-                        pc = target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                ControlUop::Jump { target } => pc = target as usize,
-                ControlUop::Ret => return Cycle(cycles),
-            }
-        }
-    }
-
-    /// Executes a macro-op through the tier ladder: an armed injector
-    /// forces the interpreter (tier 1) so per-lane RNG order — and
-    /// therefore every seeded campaign artifact — stays byte-identical;
-    /// a healthy array dispatches to the compiled program on a cache
-    /// hit (tier 2) and compiles on the first miss while interpreting
-    /// that execution, so the hit/miss counters reflect real reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed programs, like [`Self::execute`].
-    pub fn execute_tiered(
-        &mut self,
-        lib: &ProgramLibrary,
-        cache: &mut ProgramCache,
-        kind: MacroOpKind,
-        binding: &Binding,
-    ) -> Cycle {
-        if self.fault.is_some() {
-            // Fallback without consulting the cache: fault campaigns
-            // must see the interpreter's exact store/sense call order,
-            // and `store_cell` is what keeps parity/SECDED check planes
-            // coherent with every write.
-            let prog = lib.program(kind);
-            let cycles = self.execute(&prog, binding);
-            cache.stats_mut().record_tier1(cycles);
-            return cycles;
-        }
-        if let Some(cp) = cache.lookup(kind, self.cfg, self.lanes) {
-            let cycles = self.execute_compiled(&cp, binding);
-            cache
-                .stats_mut()
-                .record_tier2(cycles, cp.uops(), cp.fused());
-            return cycles;
-        }
-        // First sight of this key: specialize for next time, interpret
-        // this execution.
-        let prog = lib.program(kind);
-        cache.insert(kind, Arc::new(fuse::compile(&prog, self.cfg, self.lanes)));
-        let cycles = self.execute(&prog, binding);
-        cache.stats_mut().record_tier1(cycles);
-        cycles
-    }
-
-    /// Executes a compiled (tier-2) program: a linear walk over the
-    /// fused trace with no counter updates, no branch resolution, and
-    /// no per-tuple dispatch. Returns the same cycle count interpreting
-    /// the source program would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault injector is armed (the compiled tier skips the
-    /// per-lane paths the injector's RNG order and the parity/SECDED
-    /// write-path metadata depend on), or if the program was
-    /// specialized for a different configuration or lane count.
-    pub fn execute_compiled(&mut self, cp: &CompiledProgram, binding: &Binding) -> Cycle {
-        assert!(
-            self.fault.is_none(),
-            "compiled tier requires a healthy array"
-        );
-        assert_eq!(cp.config(), self.cfg, "{}: config mismatch", cp.name());
-        assert_eq!(cp.lanes(), self.lanes, "{}: lane-count mismatch", cp.name());
-        // Every operand is resolved to `SegSel::At`, so raw μops never
-        // consult the counters; one zeroed file satisfies the
-        // interpreter leaves' signature without allocation.
-        let counters = CounterFile::new();
-        for op in cp.ops() {
-            match *op {
-                CompiledOp::Raw(ref uop) => self.exec_arith(uop, binding, &counters),
-                CompiledOp::Fused {
-                    a,
-                    b,
-                    carry_in,
-                    dst,
-                    src,
-                    masked,
-                    keep,
-                } => {
-                    let ra = self.resolve(&a, binding, &counters);
-                    let rb = self.resolve(&b, binding, &counters);
-                    let rd = self.resolve(&dst, binding, &counters);
-                    self.do_fused(ra, rb, rd, carry_in, src, masked, keep);
-                }
-            }
-        }
-        cp.cycles()
-    }
-
-    /// Fused compute + writeback: one pass over the bit-planes senses
-    /// `ra`/`rb`, evaluates every logic layer, advances the carry
-    /// recurrence, and stores `src` straight into `rd` — the
-    /// interpreter's `do_blc` + `write_row` pair without materializing
-    /// the latch planes the liveness pass proved dead.
-    ///
-    /// Aliasing (`rd == ra`, `rd == rb`, even both) is safe: each
-    /// `(bit, word)` cell is read in the same iteration that writes it
-    /// and never revisited.
-    #[allow(clippy::too_many_arguments)]
-    fn do_fused(
-        &mut self,
-        ra: usize,
-        rb: usize,
-        rd: usize,
-        carry_in: CarryIn,
-        src: ComputeSrc,
-        masked: bool,
-        keep: LatchKeep,
-    ) {
-        let (bits, words) = (self.bits, self.words);
-        let pl = bits * words;
-        match carry_in {
-            CarryIn::Stored => {}
-            CarryIn::Zero => self.carry.fill(0),
-            CarryIn::One => self.carry.copy_from_slice(&self.full),
-        }
-        if keep == LatchKeep::NONE {
-            // Hot shape: an interior op with every latch plane dead.
-            // Select the writeback plane with lane masks so the word
-            // loop is branchless, and zip per-row slices so it carries
-            // no bounds checks — LLVM vectorizes it straight across
-            // the packed words. Aliasing (`rd == ra`, `rd == rb`, or
-            // both, as in `acc += p` / `p += p`) just reads the word
-            // being written before updating it, exactly like the
-            // general loop below.
-            let sel = PlaneSel::of(src);
-            let carry = &mut self.carry[..words];
-            let full = &self.full[..words];
-            // Unmasked stores blend against the live-lane mask: the
-            // packed tails are zero on both sides, so that blend is an
-            // exact store.
-            let store: &[u64] = if masked { &self.mask[..words] } else { full };
-            let lanes = full.iter().zip(store);
-            if rd == ra && rd == rb {
-                let pd = &mut self.storage[rd * pl..(rd + 1) * pl];
-                for drow in pd.chunks_exact_mut(words) {
-                    for ((d, c), (&f, &sm)) in
-                        drow.iter_mut().zip(carry.iter_mut()).zip(lanes.clone())
-                    {
-                        let av = *d;
-                        fused_word(av, av, c, f, sm, d, sel);
-                    }
-                }
-            } else if rd == ra {
-                let (pb, pd) = rows_sd(&mut self.storage, pl, rb, rd);
-                for (brow, drow) in pb.chunks_exact(words).zip(pd.chunks_exact_mut(words)) {
-                    for (((d, &bv), c), (&f, &sm)) in drow
-                        .iter_mut()
-                        .zip(brow)
-                        .zip(carry.iter_mut())
-                        .zip(lanes.clone())
-                    {
-                        let av = *d;
-                        fused_word(av, bv, c, f, sm, d, sel);
-                    }
-                }
-            } else if rd == rb {
-                let (pa, pd) = rows_sd(&mut self.storage, pl, ra, rd);
-                for (arow, drow) in pa.chunks_exact(words).zip(pd.chunks_exact_mut(words)) {
-                    for (((d, &av), c), (&f, &sm)) in drow
-                        .iter_mut()
-                        .zip(arow)
-                        .zip(carry.iter_mut())
-                        .zip(lanes.clone())
-                    {
-                        let bv = *d;
-                        fused_word(av, bv, c, f, sm, d, sel);
-                    }
-                }
-            } else {
-                let (pa, pb, pd) = rows_abd(&mut self.storage, pl, ra, rb, rd);
-                for (arow, (brow, drow)) in pa
-                    .chunks_exact(words)
-                    .zip(pb.chunks_exact(words).zip(pd.chunks_exact_mut(words)))
-                {
-                    for ((((d, &av), &bv), c), (&f, &sm)) in drow
-                        .iter_mut()
-                        .zip(arow)
-                        .zip(brow)
-                        .zip(carry.iter_mut())
-                        .zip(lanes.clone())
-                    {
-                        fused_word(av, bv, c, f, sm, d, sel);
-                    }
-                }
-            }
-            // The latch planes the liveness pass proved dead stay
-            // stale; the final op of every compiled program carries
-            // `LatchKeep::ALL` and rewrites them all before any read.
-            self.blc.valid = true;
-            return;
-        }
-        let (base_a, base_b, base_d) = (ra * pl, rb * pl, rd * pl);
-        let this = &mut *self;
-        for b in 0..bits {
-            let o = b * words;
-            for w in 0..words {
-                let av = this.storage[base_a + o + w];
-                let bv = this.storage[base_b + o + w];
-                let and = av & bv;
-                let or = av | bv;
-                let xor = av ^ bv;
-                let c = this.carry[w];
-                let sum = xor ^ c;
-                this.carry[w] = and | (c & xor);
-                if keep.and {
-                    this.blc.and[o + w] = and;
-                }
-                if keep.or {
-                    this.blc.or[o + w] = or;
-                }
-                if keep.xor {
-                    this.blc.xor[o + w] = xor;
-                }
-                if keep.sum {
-                    this.blc.sum[o + w] = sum;
-                }
-                // The compute just ran, so complements are
-                // unconditional — no `valid` gate like `src_word`.
-                let v = match src {
-                    ComputeSrc::And => and,
-                    ComputeSrc::Nand => and ^ this.full[w],
-                    ComputeSrc::Or => or,
-                    ComputeSrc::Nor => or ^ this.full[w],
-                    ComputeSrc::Xor => xor,
-                    ComputeSrc::Xnor => xor ^ this.full[w],
-                    ComputeSrc::Add => sum,
-                    ComputeSrc::Shift | ComputeSrc::Mask => {
-                        unreachable!("fuser only fuses latch-plane writebacks")
-                    }
-                };
-                let i = base_d + o + w;
-                this.storage[i] = if masked {
-                    blend(this.storage[i], v, this.mask[w])
-                } else {
-                    v
-                };
-            }
-        }
-        this.blc.valid = true;
+            self.exec_arith(arith, binding, counters);
+        })
     }
 
     #[inline]
@@ -2389,144 +2010,5 @@ mod secded_tests {
             let s = prot.scrub();
             assert_eq!((s.corrected, s.uncorrectable), (0, 0), "{cfg}");
         }
-    }
-}
-
-#[cfg(test)]
-mod tier_tests {
-    use super::*;
-    use crate::fault::{FaultConfig, FaultInjector};
-    use eve_uop::{MacroOpKind, ProgramCache, ProgramLibrary};
-
-    /// Two identically-loaded arrays with an odd lane count (word tail
-    /// in play).
-    fn pair(cfg: HybridConfig, lanes: usize) -> (EveArray, EveArray) {
-        let mut a = EveArray::new(cfg, lanes);
-        let mut b = EveArray::new(cfg, lanes);
-        for lane in 0..lanes {
-            let x = (lane as u32).wrapping_mul(0x9E37_79B9) ^ 0x5A5A;
-            let y = (lane as u32).wrapping_mul(0x85EB_CA6B) | 1;
-            for arr in [&mut a, &mut b] {
-                arr.write_element(1, lane, x);
-                arr.write_element(2, lane, y);
-            }
-        }
-        (a, b)
-    }
-
-    #[test]
-    fn compiled_execution_is_byte_identical_to_the_interpreter() {
-        let binding = Binding::new(3, 1, 2);
-        for cfg in HybridConfig::all() {
-            let lib = ProgramLibrary::new(cfg);
-            for kind in [
-                MacroOpKind::Add,
-                MacroOpKind::Sub,
-                MacroOpKind::Mul,
-                MacroOpKind::Xor,
-                MacroOpKind::CmpLtu,
-                MacroOpKind::SllI(5),
-            ] {
-                let (mut interp, mut compiled) = pair(cfg, 67);
-                let prog = lib.program(kind);
-                let cp = fuse::compile(&prog, cfg, 67);
-                let c1 = interp.execute(&prog, &binding);
-                let c2 = compiled.execute_compiled(&cp, &binding);
-                assert_eq!(c1, c2, "{cfg} {kind:?} cycle count");
-                for lane in 0..67 {
-                    assert_eq!(
-                        interp.read_element(3, lane),
-                        compiled.read_element(3, lane),
-                        "{cfg} {kind:?} lane {lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn latch_state_persists_identically_across_compiled_programs() {
-        // mul reads the latches its predecessor left behind only
-        // implicitly — but a cross-program read of v3 after chained
-        // executions exercises the final-op keep=ALL obligation.
-        let binding = Binding::new(3, 1, 2);
-        let chained = Binding::new(4, 3, 2);
-        for cfg in HybridConfig::all() {
-            let lib = ProgramLibrary::new(cfg);
-            let (mut interp, mut compiled) = pair(cfg, 67);
-            for kind in [MacroOpKind::Add, MacroOpKind::Mul, MacroOpKind::Sub] {
-                let prog = lib.program(kind);
-                let cp = fuse::compile(&prog, cfg, 67);
-                interp.execute(&prog, &binding);
-                compiled.execute_compiled(&cp, &binding);
-                let follow = lib.program(MacroOpKind::Xor);
-                let fcp = fuse::compile(&follow, cfg, 67);
-                interp.execute(&follow, &chained);
-                compiled.execute_compiled(&fcp, &chained);
-                for lane in 0..67 {
-                    assert_eq!(
-                        interp.read_element(4, lane),
-                        compiled.read_element(4, lane),
-                        "{cfg} {kind:?} lane {lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiered_dispatch_misses_once_then_hits() {
-        let cfg = HybridConfig::new(8).unwrap();
-        let lib = ProgramLibrary::new(cfg);
-        let mut cache = ProgramCache::new();
-        let (mut arr, mut oracle) = pair(cfg, 67);
-        let binding = Binding::new(3, 1, 2);
-        let c1 = arr.execute_tiered(&lib, &mut cache, MacroOpKind::Add, &binding);
-        let c2 = arr.execute_tiered(&lib, &mut cache, MacroOpKind::Add, &binding);
-        assert_eq!(c1, c2, "both tiers report the source program's cycles");
-        let s = cache.stats();
-        assert_eq!((s.misses, s.hits), (1, 1));
-        assert_eq!((s.tier1_executions, s.tier2_executions), (1, 1));
-        assert!(s.tier2_fused > 0, "add must retire fused super-ops");
-        oracle.execute(&lib.program(MacroOpKind::Add), &binding);
-        oracle.execute(&lib.program(MacroOpKind::Add), &binding);
-        for lane in 0..67 {
-            assert_eq!(arr.read_element(3, lane), oracle.read_element(3, lane));
-        }
-    }
-
-    #[test]
-    fn armed_injector_takes_the_interpreter_in_exact_rng_order() {
-        let cfg = HybridConfig::new(4).unwrap();
-        let lib = ProgramLibrary::new(cfg);
-        let fc = FaultConfig::uniform(0xFEED, 2e-3);
-        let binding = Binding::new(3, 1, 2);
-        let (mut tiered, mut plain) = pair(cfg, 67);
-        tiered.attach_injector(FaultInjector::new(fc.clone()));
-        plain.attach_injector(FaultInjector::new(fc));
-        let mut cache = ProgramCache::new();
-        for kind in [MacroOpKind::Add, MacroOpKind::Mul, MacroOpKind::Add] {
-            tiered.execute_tiered(&lib, &mut cache, kind, &binding);
-            plain.execute(&lib.program(kind), &binding);
-        }
-        // Byte-identical corruption: same RNG draws in the same order.
-        for lane in 0..67 {
-            assert_eq!(tiered.read_element(3, lane), plain.read_element(3, lane));
-        }
-        let s = cache.stats();
-        assert_eq!(s.tier1_executions, 3, "every execution fell back");
-        assert_eq!((s.hits, s.misses), (0, 0), "the cache is never consulted");
-        assert_eq!(s.tier2_executions, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "healthy array")]
-    fn compiled_tier_refuses_an_armed_injector() {
-        let cfg = HybridConfig::new(8).unwrap();
-        let lib = ProgramLibrary::new(cfg);
-        let cp = fuse::compile(&lib.program(MacroOpKind::Add), cfg, 4);
-        let mut arr = EveArray::new(cfg, 4);
-        arr.attach_injector(FaultInjector::new(FaultConfig::none(1)));
-        arr.execute_compiled(&cp, &Binding::new(3, 1, 2));
     }
 }

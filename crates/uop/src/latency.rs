@@ -1,16 +1,18 @@
-//! Cycle counting for μprograms.
+//! Sequencing and cycle counting for μprograms.
 //!
-//! The engine's timing model and the §II analytical model both need to
-//! know how many cycles each macro-operation occupies the VSU and the
-//! EVE SRAMs. Because every tuple takes exactly one cycle (§IV), that
-//! number falls out of executing just the counter and control μops —
-//! no SRAM state needed. [`count_cycles`] does exactly that, and
-//! [`LatencyTable`] memoizes the results per macro-op kind.
+//! [`walk`] is the VSU's counter/control loop, the one place that
+//! decides which tuple runs next. Every μprogram consumer drives it:
+//! the bit-accurate SRAM applies each arithmetic μop to real cells,
+//! the energy model sums per-μop energies, and [`count_cycles`] ignores
+//! the arithmetic entirely. Because every tuple takes exactly one cycle
+//! (§IV), that count is the macro-op's VSU occupancy; the engine's
+//! timing model and the §II analytical model read it through
+//! [`LatencyTable`], which memoizes it per macro-op kind.
 
 use crate::counter::CounterFile;
 use crate::library::{MacroOpKind, ProgramLibrary};
 use crate::program::{HybridConfig, MicroProgram};
-use crate::uop::{ControlUop, CounterUop};
+use crate::uop::{ArithUop, ControlUop, CounterUop};
 use eve_common::Cycle;
 use std::collections::HashMap;
 
@@ -19,13 +21,74 @@ use std::collections::HashMap;
 /// ~20 k tuples; anything past this is a generator bug.
 const RUNAWAY_LIMIT: u64 = 1_000_000;
 
-/// Executes the counter/control μops of `prog` and returns how many
-/// cycles (tuples) it runs before returning.
+/// Sequences `prog` one VLIW tuple per cycle, as the VSU does, and
+/// returns how many cycles it runs before returning.
+///
+/// Each cycle hands the tuple's arithmetic μop to `arith` with the
+/// start-of-cycle counter file, then applies the counter μop, then
+/// resolves the control μop against the updated flags.
 ///
 /// # Panics
 ///
 /// Panics if the program exceeds the runaway limit or branches outside
 /// itself — both indicate a malformed generator, not a user error.
+#[inline]
+pub fn walk(prog: &MicroProgram, mut arith: impl FnMut(&ArithUop, &CounterFile)) -> Cycle {
+    let mut counters = CounterFile::new();
+    let mut pc: usize = 0;
+    let mut cycles: u64 = 0;
+    let tuples = prog.tuples();
+    loop {
+        let Some(tuple) = tuples.get(pc) else {
+            panic!("program {} ran off the end at pc {pc}", prog.name());
+        };
+        cycles += 1;
+        assert!(
+            cycles < RUNAWAY_LIMIT,
+            "program {} exceeded {RUNAWAY_LIMIT} tuples",
+            prog.name()
+        );
+        arith(&tuple.arith, &counters);
+        match tuple.counter {
+            CounterUop::Nop => {}
+            CounterUop::Init { ctr, value } => counters.init(ctr, value),
+            CounterUop::Decr(ctr) => counters.decr(ctr),
+            CounterUop::Incr(ctr) => counters.incr(ctr),
+        }
+        pc = match tuple.control {
+            ControlUop::Nop => pc + 1,
+            ControlUop::Bnz { ctr, target } => {
+                if counters.take_zero_flag(ctr) {
+                    pc + 1
+                } else {
+                    target as usize
+                }
+            }
+            ControlUop::BnzRet { ctr, target } => {
+                if counters.take_zero_flag(ctr) {
+                    return Cycle(cycles);
+                }
+                target as usize
+            }
+            ControlUop::Bnd { ctr, target } => {
+                if counters.take_decade_flag(ctr) {
+                    target as usize
+                } else {
+                    pc + 1
+                }
+            }
+            ControlUop::Jump { target } => target as usize,
+            ControlUop::Ret => return Cycle(cycles),
+        };
+    }
+}
+
+/// Executes the counter/control μops of `prog` and returns how many
+/// cycles (tuples) it runs before returning.
+///
+/// # Panics
+///
+/// Panics where [`walk`] does: runaway or out-of-range branches.
 ///
 /// # Examples
 ///
@@ -39,55 +102,7 @@ const RUNAWAY_LIMIT: u64 = 1_000_000;
 /// ```
 #[must_use]
 pub fn count_cycles(prog: &MicroProgram, _cfg: HybridConfig) -> Cycle {
-    let mut counters = CounterFile::new();
-    let mut pc: usize = 0;
-    let mut cycles: u64 = 0;
-    let tuples = prog.tuples();
-    loop {
-        assert!(
-            pc < tuples.len(),
-            "program {} ran off the end at pc {pc}",
-            prog.name()
-        );
-        let tuple = &tuples[pc];
-        cycles += 1;
-        assert!(
-            cycles < RUNAWAY_LIMIT,
-            "program {} exceeded {RUNAWAY_LIMIT} tuples",
-            prog.name()
-        );
-        match tuple.counter {
-            CounterUop::Nop => {}
-            CounterUop::Init { ctr, value } => counters.init(ctr, value),
-            CounterUop::Decr(ctr) => counters.decr(ctr),
-            CounterUop::Incr(ctr) => counters.incr(ctr),
-        }
-        match tuple.control {
-            ControlUop::Nop => pc += 1,
-            ControlUop::Bnz { ctr, target } => {
-                if counters.take_zero_flag(ctr) {
-                    pc += 1;
-                } else {
-                    pc = target as usize;
-                }
-            }
-            ControlUop::BnzRet { ctr, target } => {
-                if counters.take_zero_flag(ctr) {
-                    return Cycle(cycles);
-                }
-                pc = target as usize;
-            }
-            ControlUop::Bnd { ctr, target } => {
-                if counters.take_decade_flag(ctr) {
-                    pc = target as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            ControlUop::Jump { target } => pc = target as usize,
-            ControlUop::Ret => return Cycle(cycles),
-        }
-    }
+    walk(prog, |_, _| {})
 }
 
 /// Memoized macro-op latencies for one EVE-*n* configuration.
@@ -122,13 +137,6 @@ impl LatencyTable {
     #[must_use]
     pub fn config(&self) -> HybridConfig {
         self.library.config()
-    }
-
-    /// The program library backing the table (shared by callers that
-    /// need the μprograms themselves, e.g. the tier profiler).
-    #[must_use]
-    pub fn library(&self) -> &ProgramLibrary {
-        &self.library
     }
 
     /// Cycles the μprogram for `kind` occupies the VSU.

@@ -7,14 +7,17 @@
 //! control — §IV-B). Incoming vector instructions become *macro-ops*,
 //! each implemented by a [`MicroProgram`] from the [`ProgramLibrary`].
 //!
-//! Two executors consume μprograms:
+//! One sequencer, [`walk`], runs the counter and control μops of every
+//! μprogram; its callers differ only in what they do with each
+//! arithmetic μop:
 //!
-//! * the bit-accurate SRAM model in `eve-sram`, which applies the
-//!   arithmetic μops to real bit cells, and
-//! * the cycle counter in [`latency`], which executes only the counter
-//!   and control μops to measure how many cycles a macro-op takes on a
-//!   given EVE-*n* configuration — the numbers the engine timing model
-//!   and the §II analytical model are built from.
+//! * the bit-accurate SRAM model in `eve-sram` applies it to real bit
+//!   cells;
+//! * the energy model in `eve-analytical` sums its energy;
+//! * the cycle counter in [`latency`] ignores it, measuring how many
+//!   cycles a macro-op takes on a given EVE-*n* configuration — the
+//!   numbers the engine timing model and the §II analytical model are
+//!   built from.
 //!
 //! # Examples
 //!
@@ -31,7 +34,6 @@
 
 pub mod counter;
 pub mod display;
-pub mod fuse;
 pub mod latency;
 pub mod library;
 pub mod program;
@@ -39,10 +41,7 @@ pub mod uop;
 
 pub use counter::{CounterFile, CounterId};
 pub use display::listing;
-pub use fuse::{
-    compile, profile, CompiledOp, CompiledProgram, LatchKeep, ProgramCache, TierProfile, TierStats,
-};
-pub use latency::{count_cycles, LatencyTable};
+pub use latency::{count_cycles, walk, LatencyTable};
 pub use library::{MacroOpKind, ProgramLibrary};
 pub use program::{HybridConfig, MicroProgram, ProgramBuilder};
 pub use uop::{

@@ -9,7 +9,7 @@
 //! bin. Winners gather-increment-scatter their counts under the mask,
 //! losers retry, and the loop drains in max-multiplicity iterations.
 //! The whole dance is deterministic, so it runs byte-identically on
-//! the scalar oracle, the bitsliced interpreter, and the fused tier.
+//! the scalar oracle and the bitsliced interpreter.
 
 use crate::common::{fill_random, rng, Layout};
 use crate::Built;

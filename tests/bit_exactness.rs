@@ -190,3 +190,36 @@ fn counting_and_bit_accurate_executors_agree() {
         }
     }
 }
+
+/// A program that branches past its last tuple is a generator bug, and
+/// every caller of the one μprogram sequencer (`eve_uop::walk`) reports
+/// it with the same message.
+#[test]
+fn every_executor_rejects_a_branch_off_the_end_alike() {
+    use eve_analytical::program_energy;
+    use eve_uop::{count_cycles, ProgramBuilder};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let mut b = ProgramBuilder::new("off_the_end");
+    b.jump("end");
+    b.ret();
+    b.label("end");
+    let prog = b.build().expect("every label resolves");
+    let cfg = HybridConfig::new(8).unwrap();
+    let panic_message = |run: &dyn Fn()| -> String {
+        let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+        *payload.downcast::<String>().expect("a formatted message")
+    };
+    let counted = panic_message(&|| {
+        let _ = count_cycles(&prog, cfg);
+    });
+    let energy = panic_message(&|| {
+        let _ = program_energy(&prog, cfg);
+    });
+    let executed = panic_message(&|| {
+        EveArray::new(cfg, 2).execute(&prog, &Binding::new(3, 1, 2));
+    });
+    assert_eq!(counted, "program off_the_end ran off the end at pc 2");
+    assert_eq!(energy, counted);
+    assert_eq!(executed, counted);
+}

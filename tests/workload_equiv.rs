@@ -1,27 +1,25 @@
-//! Differential fuzzing of the second-wave workload kernels across all
-//! three μop execution tiers.
+//! Differential fuzzing of the second-wave workload kernels across both
+//! μop executors.
 //!
-//! `tests/bitslice_equiv.rs` and `tests/compiled_equiv.rs` prove the
-//! tier chain scalar ⇔ interpreter ⇔ compiled equivalent under
-//! *random* μop programs and isolated library macro-ops. This harness
-//! closes the remaining gap: the macro-op streams that real kernels
-//! actually emit. Each second-wave workload (spmv, histogram,
-//! blackscholes, scan) is run through the ISA interpreter and its
-//! retired compute instructions are lowered through the VCU mapping
-//! (`eve_core::mapping::macro_ops`) into a `(MacroOpKind, Binding)`
-//! stream — gather-offset multiplies, scatter-tag mask algebra,
-//! clamp/merge chains, ladder adds — then the stream is replayed on
-//! the lane-serial scalar oracle, the bitsliced interpreter, and the
-//! tiered dispatcher with a `ProgramCache`, comparing every externally
-//! observable surface after every macro-op. A warm-cache second pass
-//! pins the hit accounting, and an armed-injector variant pins the
-//! fault-RNG consumption order of the tier ladder's fallback.
+//! `tests/bitslice_equiv.rs` proves the lane-serial scalar oracle and
+//! the bitsliced interpreter equivalent under *random* μop programs and
+//! isolated library macro-ops. This harness closes the remaining gap:
+//! the macro-op streams that real kernels actually emit. Each
+//! second-wave workload (spmv, histogram, blackscholes, scan) is run
+//! through the ISA interpreter and its retired compute instructions are
+//! lowered through the VCU mapping (`eve_core::mapping::macro_ops`)
+//! into a `(MacroOpKind, Binding)` stream — gather-offset multiplies,
+//! scatter-tag mask algebra, clamp/merge chains, ladder adds — then the
+//! stream is replayed on the scalar oracle and the interpreter,
+//! comparing every externally observable surface after every macro-op.
+//! A second pass replays the stream over the state the first left
+//! behind, and an armed-injector variant pins the fault-RNG
+//! consumption order.
 
 use eve_common::SplitMix64;
 use eve_core::mapping::macro_ops;
 use eve_isa::{Inst, Interpreter, VOperand};
 use eve_sram::{Binding, EveArray, FaultConfig, FaultInjector, ScalarArray};
-use eve_uop::fuse::ProgramCache;
 use eve_uop::{HybridConfig, MacroOpKind, ProgramLibrary};
 use eve_workloads::Workload;
 
@@ -29,14 +27,9 @@ use eve_workloads::Workload;
 /// (v0..=v8 — every second-wave kernel stays inside this window, so
 /// vector register numbers map directly onto array rows).
 const REGS: u32 = 9;
-/// μprogram scratch registers, checked on the bitsliced pair: fused
-/// writes into scratch rows must land exactly where the interpreter
-/// puts them.
-const SCRATCH_BASE: u32 = 32;
-const SCRATCH_REGS: u32 = 6;
 /// Row a `Splat` macro-op broadcasts into when the VCU materializes a
 /// scalar/immediate operand. Overlap with a kernel register is fine —
-/// all three executors see the identical stream.
+/// both executors see the identical stream.
 const SPLAT_ROW: u8 = 8;
 /// Stream cap per kernel: enough to cover every phase of every kernel
 /// (the longest setvl strip plus conflict-loop iterations) while
@@ -106,26 +99,6 @@ fn stream_needs_scratch(inst: &Inst) -> bool {
     !matches!(inst, Inst::VMv { .. })
 }
 
-/// Asserts the bitsliced pair agrees on every surface, architectural
-/// and scratch rows included.
-fn assert_bitsliced_same(interp: &EveArray, tiered: &EveArray, lanes: usize, ctx: &str) {
-    for r in (0..REGS).chain(SCRATCH_BASE..SCRATCH_BASE + SCRATCH_REGS) {
-        for lane in 0..lanes {
-            assert_eq!(
-                interp.read_element(r, lane),
-                tiered.read_element(r, lane),
-                "{ctx}: reg {r} lane {lane}"
-            );
-        }
-    }
-    assert_eq!(interp.data_out(), tiered.data_out(), "{ctx}: data-out");
-    assert_eq!(
-        interp.parity_alarms(),
-        tiered.parity_alarms(),
-        "{ctx}: parity alarms"
-    );
-}
-
 /// Asserts the scalar oracle agrees with a bitsliced array on the
 /// architectural surface.
 fn assert_scalar_same(fast: &EveArray, slow: &ScalarArray, lanes: usize, ctx: &str) {
@@ -150,76 +123,46 @@ fn seeded_rng(salt: u64) -> SplitMix64 {
     SplitMix64::new(0x0003_C04D_4A7E ^ salt)
 }
 
-/// The number of distinct macro-op kinds in a stream — the expected
-/// cold-cache miss count.
-fn distinct_kinds(stream: &[(MacroOpKind, Binding)]) -> usize {
-    let mut seen: Vec<MacroOpKind> = Vec::new();
-    for &(kind, _) in stream {
-        if !seen.contains(&kind) {
-            seen.push(kind);
-        }
-    }
-    seen.len()
-}
-
-/// Every kernel stream, every hybrid configuration: the scalar oracle,
-/// the interpreter, and the warm-capable tiered dispatcher must stay
-/// byte-identical after every macro-op, and a second pass over the
-/// stream must run entirely out of the program cache.
+/// Every kernel stream, every hybrid configuration: the scalar oracle
+/// and the interpreter must stay byte-identical after every macro-op,
+/// over two passes through the stream.
 #[test]
 fn kernel_streams_agree_across_all_three_tiers() {
     const LANES: usize = 67;
     for (ki, name) in KERNELS.iter().enumerate() {
         let stream = op_stream(name);
-        let distinct = distinct_kinds(&stream) as u64;
         for cfg in HybridConfig::all() {
             let mut rng = seeded_rng(ki as u64 ^ u64::from(cfg.segment_bits()));
             let lib = ProgramLibrary::new(cfg);
-            let mut cache = ProgramCache::new();
             let mut scalar = ScalarArray::new(cfg, LANES);
             let mut interp = EveArray::new(cfg, LANES);
-            let mut tiered = EveArray::new(cfg, LANES);
             for r in 0..REGS {
                 for lane in 0..LANES {
                     let v = rng.next_u32();
                     scalar.write_element(r, lane, v);
                     interp.write_element(r, lane, v);
-                    tiered.write_element(r, lane, v);
                 }
             }
             for pass in 0..2 {
                 for (step, &(kind, binding)) in stream.iter().enumerate() {
                     let data: Vec<u32> = (0..LANES).map(|_| rng.next_u32()).collect();
                     scalar.set_data_in(data.clone());
-                    interp.set_data_in(data.clone());
-                    tiered.set_data_in(data);
+                    interp.set_data_in(data);
                     let cs = scalar.execute(&lib.program(kind), &binding);
                     let ci = interp.execute(&lib.program(kind), &binding);
-                    let ct = tiered.execute_tiered(&lib, &mut cache, kind, &binding);
                     let ctx = format!("{name} {cfg} pass {pass} step {step} {kind:?}");
                     assert_eq!(cs, ci, "{ctx}: scalar/interp cycle count");
-                    assert_eq!(ci, ct, "{ctx}: interp/tiered cycle count");
                     assert_scalar_same(&interp, &scalar, LANES, &ctx);
-                    assert_bitsliced_same(&interp, &tiered, LANES, &ctx);
                 }
             }
-            let s = cache.stats();
-            assert_eq!(s.misses, distinct, "{name} {cfg}: one miss per kind");
-            assert_eq!(
-                s.hits,
-                2 * stream.len() as u64 - distinct,
-                "{name} {cfg}: everything after the first sight hits"
-            );
-            assert!(s.tier2_fused > 0, "{name} {cfg}: fused super-ops retired");
-            assert!(s.hit_rate() > 0.5, "{name} {cfg}");
         }
     }
 }
 
 /// Odd lane counts around the 64-lane word boundary: 1 (single lane in
 /// a word), 63 (one partial word), 100 (full word + tail). The
-/// interpreter and the tiered dispatcher must agree on the kernels'
-/// real streams at every tail shape.
+/// interpreter and the scalar oracle must agree on the kernels' real
+/// streams at every tail shape.
 #[test]
 fn odd_lane_counts_interp_and_tiered_agree() {
     for (ki, name) in KERNELS.iter().enumerate() {
@@ -228,35 +171,33 @@ fn odd_lane_counts_interp_and_tiered_agree() {
             for lanes in [1usize, 63, 100] {
                 let mut rng = seeded_rng((ki as u64) << 8 | lanes as u64);
                 let lib = ProgramLibrary::new(cfg);
-                let mut cache = ProgramCache::new();
+                let mut scalar = ScalarArray::new(cfg, lanes);
                 let mut interp = EveArray::new(cfg, lanes);
-                let mut tiered = EveArray::new(cfg, lanes);
                 for r in 0..REGS {
                     for lane in 0..lanes {
                         let v = rng.next_u32();
+                        scalar.write_element(r, lane, v);
                         interp.write_element(r, lane, v);
-                        tiered.write_element(r, lane, v);
                     }
                 }
                 for (step, &(kind, binding)) in stream.iter().enumerate() {
                     let data: Vec<u32> = (0..lanes).map(|_| rng.next_u32()).collect();
-                    interp.set_data_in(data.clone());
-                    tiered.set_data_in(data);
+                    scalar.set_data_in(data.clone());
+                    interp.set_data_in(data);
+                    let cs = scalar.execute(&lib.program(kind), &binding);
                     let ci = interp.execute(&lib.program(kind), &binding);
-                    let ct = tiered.execute_tiered(&lib, &mut cache, kind, &binding);
                     let ctx = format!("{name} {cfg} lanes={lanes} step {step} {kind:?}");
-                    assert_eq!(ci, ct, "{ctx}: cycle count");
-                    assert_bitsliced_same(&interp, &tiered, lanes, &ctx);
+                    assert_eq!(cs, ci, "{ctx}: cycle count");
+                    assert_scalar_same(&interp, &scalar, lanes, &ctx);
                 }
             }
         }
     }
 }
 
-/// Armed injectors force the interpreter fallback through the tier
-/// dispatcher on real kernel streams: corruption, RNG consumption, and
-/// detector state must stay in lockstep across all three executors,
-/// and the cache must never be consulted.
+/// Armed injectors on real kernel streams: corruption, RNG
+/// consumption, and detector state must stay in lockstep between the
+/// interpreter and the scalar oracle.
 #[test]
 fn armed_injector_streams_stay_in_lockstep() {
     const LANES: usize = 67;
@@ -267,45 +208,29 @@ fn armed_injector_streams_stay_in_lockstep() {
         for cfg in HybridConfig::all() {
             let mut rng = seeded_rng(0xFA17 ^ (ki as u64) << 16 ^ u64::from(cfg.segment_bits()));
             let lib = ProgramLibrary::new(cfg);
-            let mut cache = ProgramCache::new();
             let mut scalar = ScalarArray::new(cfg, LANES);
             let mut interp = EveArray::new(cfg, LANES);
-            let mut tiered = EveArray::new(cfg, LANES);
             for r in 0..REGS {
                 for lane in 0..LANES {
                     let v = rng.next_u32();
                     scalar.write_element(r, lane, v);
                     interp.write_element(r, lane, v);
-                    tiered.write_element(r, lane, v);
                 }
             }
             let fc = FaultConfig::uniform(rng.next_u64(), 5e-3);
             scalar.attach_injector(FaultInjector::new(fc.clone()));
-            interp.attach_injector(FaultInjector::new(fc.clone()));
-            tiered.attach_injector(FaultInjector::new(fc));
+            interp.attach_injector(FaultInjector::new(fc));
             for (step, &(kind, binding)) in stream.iter().take(steps).enumerate() {
                 let cs = scalar.execute(&lib.program(kind), &binding);
                 let ci = interp.execute(&lib.program(kind), &binding);
-                let ct = tiered.execute_tiered(&lib, &mut cache, kind, &binding);
                 let ctx = format!("{name} {cfg} step {step} {kind:?}");
                 assert_eq!(cs, ci, "{ctx}: scalar/interp cycle count");
-                assert_eq!(ci, ct, "{ctx}: interp/tiered cycle count");
                 assert_scalar_same(&interp, &scalar, LANES, &ctx);
-                assert_bitsliced_same(&interp, &tiered, LANES, &ctx);
-                let (fi, ft) = (
-                    interp.injector().expect("armed"),
-                    tiered.injector().expect("armed"),
-                );
+                let fi = interp.injector().expect("armed");
                 let fs = scalar.injector().expect("armed");
-                assert_eq!(fi.cycle(), ft.cycle(), "{ctx}: injector cycle");
                 assert_eq!(fi.cycle(), fs.cycle(), "{ctx}: scalar injector cycle");
-                assert_eq!(fi.stats(), ft.stats(), "{ctx}: injector stats");
                 assert_eq!(fi.stats(), fs.stats(), "{ctx}: scalar injector stats");
             }
-            let s = cache.stats();
-            assert_eq!((s.hits, s.misses), (0, 0), "{name} {cfg}: cache untouched");
-            assert_eq!(s.tier1_executions, steps as u64, "{name} {cfg}");
-            assert_eq!(s.tier2_executions, 0, "{name} {cfg}");
         }
     }
 }
