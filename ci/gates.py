@@ -77,8 +77,14 @@ def no_errors_or_sdc(s):
 def hotpath():
     # The bitsliced interpreter must hold its geomean speedup over the
     # lane-serial scalar oracle (the bin asserts the floor itself).
-    out = run("hotpath_timing", "--tiny", "--assert-speedup", "12", "--out", "-")
-    print(out.decode())
+    out = run("hotpath_timing", "--tiny", "--assert-speedup", "12", "--out", "-").decode()
+    print(out)
+    # A fault-armed array (zero-rate injector) must stay within 2x of
+    # the healthy interpreter per simulated cycle, in both detection
+    # modes. The JSON document leads the output; the table follows it.
+    doc, _ = json.JSONDecoder().raw_decode(out)
+    for mode, ratio in doc["armed_over_healthy"].items():
+        assert ratio <= 2.0, f"{mode}-armed array runs {ratio:.2f}x healthy, above 2.0x"
 
 
 def fault_determinism():

@@ -1,8 +1,9 @@
 //! Hot-path wall-clock timings of μprogram execution — the lane-serial
-//! scalar oracle against the lane-bitsliced interpreter — plus
-//! end-to-end sweep timings. Seeds the perf trajectory — results land
-//! in `BENCH_hotpath.json` (override with `--out PATH`, or `--out -`
-//! for stdout only).
+//! scalar oracle against the lane-bitsliced interpreter, and the
+//! interpreter healthy against fault-armed (parity and SECDED, with a
+//! zero-rate injector) — plus end-to-end sweep timings. Seeds the perf
+//! trajectory — results land in `BENCH_hotpath.json` (override with
+//! `--out PATH`, or `--out -` for stdout only).
 //!
 //! ```text
 //! hotpath_timing [--tiny] [--out PATH] [--assert-speedup X]
@@ -10,13 +11,14 @@
 //!
 //! `--assert-speedup X` exits nonzero unless the geomean speedup of
 //! the interpreter over the scalar oracle is at least `X` (CI pins
-//! it).
+//! it). The JSON's `armed_over_healthy` holds the geomean armed/healthy
+//! time ratio per detection mode; CI's `hotpath` gate bounds it.
 
 use eve_bench::{fmt_x, pool, render_table};
 use eve_common::json::JsonValue;
 use eve_sim::experiments::workload_perf;
 use eve_sim::fault::{campaign_json, FaultPlan};
-use eve_sram::{Binding, EveArray, ScalarArray};
+use eve_sram::{Binding, DetectionMode, EveArray, FaultConfig, FaultInjector, ScalarArray};
 use eve_uop::{HybridConfig, MacroOpKind, ProgramLibrary};
 use eve_workloads::Workload;
 use std::time::Instant;
@@ -74,53 +76,87 @@ fn main() {
     let mut per_config = Vec::new();
     let mut table = Vec::new();
     let mut log_speedup = 0.0;
+    let (mut log_parity, mut log_secded) = (0.0, 0.0);
     for cfg in HybridConfig::all() {
         let lib = ProgramLibrary::new(cfg);
         let progs: Vec<_> = MIX.iter().map(|&k| lib.program(k)).collect();
         let mut fast = EveArray::new(cfg, LANES);
+        let armed = |mode| {
+            let mut arr = EveArray::new(cfg, LANES);
+            arr.attach_injector_with(FaultInjector::new(FaultConfig::none(0)), mode);
+            arr
+        };
+        let mut parity = armed(DetectionMode::Parity);
+        let mut secded = armed(DetectionMode::Secded);
         let mut slow = ScalarArray::new(cfg, LANES);
         for lane in 0..LANES {
             for reg in [1u32, 2, 3] {
                 let v = seed_value(lane, reg);
-                fast.write_element(reg, lane, v);
+                for arr in [&mut fast, &mut parity, &mut secded] {
+                    arr.write_element(reg, lane, v);
+                }
                 slow.write_element(reg, lane, v);
             }
         }
-        // Cross-check before timing: both executors must agree
+        // Cross-check before timing: every executor must agree
         // lane-for-lane on the mix.
         for prog in &progs {
-            fast.execute(prog, &binding);
+            for arr in [&mut fast, &mut parity, &mut secded] {
+                arr.execute(prog, &binding);
+            }
             slow.execute(prog, &binding);
         }
         for lane in 0..LANES {
+            let want = fast.read_element(3, lane);
             assert_eq!(
-                fast.read_element(3, lane),
+                want,
                 slow.read_element(3, lane),
                 "{cfg}: interpreter diverges at lane {lane}"
             );
+            for (mode, arr) in [("parity", &parity), ("secded", &secded)] {
+                assert_eq!(
+                    want,
+                    arr.read_element(3, lane),
+                    "{cfg}: {mode}-armed interpreter diverges at lane {lane}"
+                );
+            }
         }
-        let fast_ns = ns_per_cycle(budget_ms, || {
-            progs.iter().map(|p| fast.execute(p, &binding).0).sum()
-        });
+        let time = |arr: &mut EveArray| {
+            ns_per_cycle(budget_ms, || {
+                progs.iter().map(|p| arr.execute(p, &binding).0).sum()
+            })
+        };
+        let fast_ns = time(&mut fast);
+        let parity_ns = time(&mut parity);
+        let secded_ns = time(&mut secded);
         let slow_ns = ns_per_cycle(budget_ms, || {
             progs.iter().map(|p| slow.execute(p, &binding).0).sum()
         });
         let speedup = slow_ns / fast_ns;
         log_speedup += speedup.ln();
+        log_parity += (parity_ns / fast_ns).ln();
+        log_secded += (secded_ns / fast_ns).ln();
         table.push(vec![
             cfg.to_string(),
             format!("{slow_ns:.1}"),
             format!("{fast_ns:.1}"),
             fmt_x(speedup),
+            format!("{parity_ns:.1}"),
+            format!("{secded_ns:.1}"),
         ]);
         per_config.push(JsonValue::object([
             ("n", u64::from(cfg.segment_bits()).into()),
             ("scalar_ns_per_cycle", slow_ns.into()),
             ("bitsliced_ns_per_cycle", fast_ns.into()),
             ("speedup", speedup.into()),
+            ("parity_ns_per_cycle", parity_ns.into()),
+            ("secded_ns_per_cycle", secded_ns.into()),
         ]));
     }
-    let geomean = (log_speedup / HybridConfig::all().len() as f64).exp();
+    let configs = HybridConfig::all().len() as f64;
+    let geomean = (log_speedup / configs).exp();
+    let parity_ratio = (log_parity / configs).exp();
+    let secded_ratio = (log_secded / configs).exp();
 
     // End-to-end sweeps: the tiny fig6 matrix (parallel driver) and a
     // small fault campaign (serial API), both wall-clock.
@@ -148,6 +184,13 @@ fn main() {
         ("per_config", JsonValue::Array(per_config)),
         ("geomean_speedup", geomean.into()),
         (
+            "armed_over_healthy",
+            JsonValue::object([
+                ("parity", parity_ratio.into()),
+                ("secded", secded_ratio.into()),
+            ]),
+        ),
+        (
             "sweeps",
             JsonValue::object([
                 ("fig6_tiny_ms", fig6_ms.into()),
@@ -163,15 +206,30 @@ fn main() {
         std::fs::write(&out_path, format!("{rendered}\n")).expect("write BENCH_hotpath.json");
     }
 
-    println!("Hot path: μprogram execution, {LANES} lanes (scalar oracle → bitsliced interpreter)");
+    println!(
+        "Hot path: μprogram execution, {LANES} lanes (scalar oracle → bitsliced interpreter; \
+         zero-rate parity- and SECDED-armed interpreter)"
+    );
     println!(
         "{}",
         render_table(
-            &["config", "scalar ns/cyc", "interp ns/cyc", "speedup"],
+            &[
+                "config",
+                "scalar ns/cyc",
+                "interp ns/cyc",
+                "speedup",
+                "parity ns/cyc",
+                "secded ns/cyc"
+            ],
             &table
         )
     );
     println!("geomean speedup: {}", fmt_x(geomean));
+    println!(
+        "geomean armed/healthy: parity {}, secded {}",
+        fmt_x(parity_ratio),
+        fmt_x(secded_ratio)
+    );
     println!("fig6 --tiny sweep: {fig6_ms:.0} ms   fault campaign (small): {campaign_ms:.0} ms");
     if out_path != "-" {
         println!("wrote {out_path}");

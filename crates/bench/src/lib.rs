@@ -50,37 +50,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// A self-contained micro-benchmark loop for the `benches/` targets.
-///
-/// Runs `f` once to warm caches, then repeats it for roughly 100 ms
-/// (at most 10 000 iterations) and prints the mean time per iteration.
-/// This deliberately trades criterion's statistics for zero
-/// dependencies; the benches assert their workload invariants inline,
-/// so they double as smoke tests under `cargo bench`.
-pub fn time_it<T>(name: &str, mut f: impl FnMut() -> T) {
-    let _ = std::hint::black_box(f());
-    let start = std::time::Instant::now();
-    let mut iters = 0u64;
-    while (start.elapsed().as_millis() < 100 || iters < 3) && iters < 10_000 {
-        std::hint::black_box(f());
-        iters += 1;
-    }
-    let per_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<44} {iters:>6} iters  {}", fmt_ns(per_ns));
-}
-
-/// Formats a nanosecond count with an adaptive unit.
-#[must_use]
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0} ns/iter")
-    } else if ns < 1e6 {
-        format!("{:.2} µs/iter", ns / 1e3)
-    } else {
-        format!("{:.3} ms/iter", ns / 1e6)
-    }
-}
-
 /// Formats a ratio like `"3.42x"`.
 #[must_use]
 pub fn fmt_x(v: f64) -> String {

@@ -217,11 +217,12 @@ mod tests {
         let runner = Runner::with_tracer(&tracer);
         // Long enough that the engine timeline crosses the SECDED scrub
         // interval, with a statistical transient population plus a
-        // stuck source cell: EVE-8 maps v1's segment 0 to row 4, and
-        // vvadd sources are < 2^20, so stuck-at-one on bit 30 perturbs
-        // every operand write and gets the row remapped.
+        // stuck source cell: EVE-8 maps element bit 30 of v1 to row 7
+        // (v1's segment 3), bit 6, and vvadd sources are < 2^20, so
+        // stuck-at-one there perturbs every operand write and gets the
+        // row remapped.
         let mut cfg = FaultConfig::write_transients(3, 2e-3);
-        cfg.scripted.push(Fault::stuck_at(4, 0, 30, true));
+        cfg.scripted.push(Fault::stuck_at(7, 0, 6, true));
         let policy = RecoveryPolicy {
             remap_threshold: 1,
             ..RecoveryPolicy::sparing()

@@ -15,11 +15,16 @@
 //! every μop in a tuple reads start-of-cycle state, and only the fused
 //! control μop observes its counter update.
 //!
-//! When a `FaultInjector` is attached, the affected data paths fall
-//! back to lane-serial loops so injector callbacks fire per lane in
-//! exactly the order the scalar reference executor ([`crate::scalar`])
-//! uses — the injector's RNG stream, and therefore every campaign
-//! artifact, stays bit-identical.
+//! An attached `FaultInjector` keeps the same word-parallel data path.
+//! Row writes blend whole bit-planes, derive the check planes (parity
+//! or SECDED) from the intended values, and hand the row to
+//! [`FaultInjector::corrupt_write_planes`]; bit-line computes hand both
+//! sensed operands to [`FaultInjector::corrupt_sense_planes`]. The
+//! injector still draws once per selected lane in ascending order —
+//! the scalar reference executor's ([`crate::scalar`]) call order — so
+//! its RNG stream, and every campaign artifact, is unchanged. Checks
+//! are word-parallel too, and only rows the injector has changed since
+//! their last clean check (suspect rows) are checked at all.
 
 use crate::ecc::{SecdedCode, SecdedVerdict};
 use crate::fault::FaultInjector;
@@ -122,10 +127,11 @@ impl Binding {
 struct FaultState {
     inj: FaultInjector,
     mode: DetectionMode,
-    /// `parity[phys_row][lane]`: odd parity of the cell's intended
-    /// value, generated at write time *before* the writeback layer can
-    /// corrupt the latch. Parity mode only.
-    parity: Vec<Vec<bool>>,
+    /// Odd-parity planes, one of `words` words per physical row: lane
+    /// `l`'s bit is the parity of its intended value (the XOR of the
+    /// row's bit-planes), generated at write time *before* the
+    /// writeback layer can corrupt the latch. Parity mode only.
+    parity: Vec<u64>,
     /// SECDED check-bit planes, `phys_rows * check_bits * words`
     /// packed words, generated from intended values at write time.
     /// Layout mirrors `storage`: plane `j` of physical row `r` starts
@@ -136,6 +142,10 @@ struct FaultState {
     /// Syndrome scratch planes (`check_bits * words`), reused per
     /// checked row — no per-check allocation.
     scr_s: Vec<u64>,
+    /// Per physical row: the injector has changed a stored bit since
+    /// the row's last clean check. A row that is not suspect still
+    /// matches its check bits, so checks skip it.
+    suspect: Vec<bool>,
     /// Remap table: logical row → physical row. Identity until the
     /// recovery controller retires rows to spares.
     remap: Vec<usize>,
@@ -157,6 +167,114 @@ struct FaultState {
 #[inline]
 fn odd_parity(v: u32) -> bool {
     v.count_ones() & 1 == 1
+}
+
+/// The XOR of packed word `w` over every bit-plane of a row (`planes`,
+/// `words` words per plane): each live lane's odd parity.
+#[inline]
+fn xor_planes(planes: &[u64], words: usize, w: usize) -> u64 {
+    let mut p = 0;
+    let mut i = w;
+    while i < planes.len() {
+        p ^= planes[i];
+        i += words;
+    }
+    p
+}
+
+/// SECDED check planes for packed word `w` of a row's bit-planes,
+/// handed to `put(j, plane)` in order: Hamming check `j` (the XOR of
+/// its [`SecdedCode::group_mask`] planes) for `j < hamming_bits`, then
+/// the overall parity over the data and Hamming planes.
+#[inline(always)]
+fn secded_word(
+    code: &SecdedCode,
+    planes: &[u64],
+    words: usize,
+    w: usize,
+    mut put: impl FnMut(usize, u64),
+) {
+    let r = code.hamming_bits() as usize;
+    let mut overall = xor_planes(planes, words, w);
+    for j in 0..r {
+        let mut c = 0u64;
+        let mut g = code.group_mask(j as u32);
+        while g != 0 {
+            c ^= planes[g.trailing_zeros() as usize * words + w];
+            g &= g - 1;
+        }
+        overall ^= c;
+        put(j, c);
+    }
+    put(r, overall);
+}
+
+impl FaultState {
+    /// Word-parallel check-bit generation for physical row `phys` from
+    /// `planes` (its bit-planes), for the lanes set in `sel`.
+    fn encode(&mut self, phys: usize, sel: &[u64], planes: &[u64]) {
+        let words = sel.len();
+        match self.mode {
+            DetectionMode::Parity => {
+                for (w, &m) in sel.iter().enumerate() {
+                    let i = phys * words + w;
+                    self.parity[i] = blend(self.parity[i], xor_planes(planes, words, w), m);
+                }
+            }
+            DetectionMode::Secded => {
+                let cb = self.code.check_bits() as usize;
+                let chk = &mut self.check[phys * cb * words..(phys + 1) * cb * words];
+                for (w, &m) in sel.iter().enumerate() {
+                    secded_word(&self.code, planes, words, w, |j, c| {
+                        chk[j * words + w] = blend(chk[j * words + w], c, m);
+                    });
+                }
+            }
+        }
+    }
+
+    /// Live lanes of physical row `phys` whose stored parity disagrees
+    /// with `planes`, the row's bit-planes.
+    fn parity_mismatches(&self, phys: usize, planes: &[u64], full: &[u64]) -> u64 {
+        let words = full.len();
+        full.iter()
+            .enumerate()
+            .map(|(w, &live)| {
+                let p = self.parity[phys * words + w] ^ xor_planes(planes, words, w);
+                u64::from((p & live).count_ones())
+            })
+            .sum()
+    }
+
+    /// Fills `scr_s` with physical row `phys`'s SECDED syndrome planes
+    /// against `planes` and returns whether any live lane's syndrome is
+    /// nonzero. Each syndrome is a stored check plane XORed with the
+    /// recomputed one; the overall one also folds in every Hamming
+    /// syndrome, which makes it the parity of the whole received
+    /// codeword.
+    fn syndromes(&mut self, phys: usize, planes: &[u64], full: &[u64]) -> bool {
+        let words = full.len();
+        let r = self.code.hamming_bits() as usize;
+        let cb = r + 1;
+        let chk = &self.check[phys * cb * words..(phys + 1) * cb * words];
+        let scr = &mut self.scr_s;
+        let mut dirty = false;
+        for (w, &live) in full.iter().enumerate() {
+            let (mut any, mut hamming) = (0u64, 0u64);
+            secded_word(&self.code, planes, words, w, |j, c| {
+                let mut s = chk[j * words + w] ^ c;
+                if j < r {
+                    hamming ^= s;
+                } else {
+                    s ^= hamming;
+                }
+                scr[j * words + w] = s;
+                any |= s;
+            });
+            dirty |= any & live != 0;
+        }
+        dirty
+    }
 }
 
 /// Gathers one lane's segment value out of a bit-plane group
@@ -265,7 +383,7 @@ pub struct EveArray {
     /// Fault injection and parity tracking; `None` in healthy runs so
     /// the hot path pays nothing.
     fault: Option<FaultState>,
-    /// Scratch planes for fault-path sensed operands (reused across
+    /// Scratch planes for armed arrays' sensed operands (reused across
     /// cycles — no per-cycle allocation).
     scr_a: Vec<u64>,
     scr_b: Vec<u64>,
@@ -364,50 +482,34 @@ impl EveArray {
     /// identical to the scalar reference executor's.
     pub fn attach_injector_with(&mut self, mut inj: FaultInjector, mode: DetectionMode) {
         inj.arm(self.rows as u32, self.lanes as u32, self.cfg.segment_bits());
-        let (bits, words) = (self.bits, self.words);
+        let words = self.words;
         let pl = self.plane_len();
         let phys_rows = self.rows + self.spare_rows;
         let code = SecdedCode::new(self.bits as u32);
         let cb = code.check_bits() as usize;
-        let mut parity = Vec::new();
-        let mut check = Vec::new();
-        match mode {
-            DetectionMode::Parity => {
-                parity = (0..phys_rows)
-                    .map(|row| {
-                        let planes = &self.storage[row * pl..(row + 1) * pl];
-                        (0..self.lanes)
-                            .map(|lane| odd_parity(lane_get(planes, words, bits, lane)))
-                            .collect()
-                    })
-                    .collect();
-            }
-            DetectionMode::Secded => {
-                check = vec![0u64; phys_rows * cb * words];
-                for row in 0..phys_rows {
-                    let planes = &self.storage[row * pl..(row + 1) * pl];
-                    let chk = &mut check[row * cb * words..(row + 1) * cb * words];
-                    for lane in 0..self.lanes {
-                        let c = code.encode(lane_get(planes, words, bits, lane));
-                        lane_set(chk, words, cb, lane, c);
-                    }
-                }
-            }
-        }
-        self.fault = Some(FaultState {
+        let (parity, check) = match mode {
+            DetectionMode::Parity => (vec![0u64; phys_rows * words], Vec::new()),
+            DetectionMode::Secded => (Vec::new(), vec![0u64; phys_rows * cb * words]),
+        };
+        let mut f = FaultState {
             inj,
             mode,
             parity,
             check,
             code,
             scr_s: vec![0u64; cb * words],
+            suspect: vec![false; phys_rows],
             remap: (0..self.rows).collect(),
             spares_used: 0,
             remapped: 0,
             row_events: vec![0; self.rows],
             alarms: 0,
             corrected: 0,
-        });
+        };
+        for phys in 0..phys_rows {
+            f.encode(phys, &self.full, &self.storage[phys * pl..(phys + 1) * pl]);
+        }
+        self.fault = Some(f);
     }
 
     /// Detaches and returns the injector, switching detection off.
@@ -499,6 +601,8 @@ impl EveArray {
 
     /// Writes one segment cell, generating parity/ECC from the
     /// intended value and then letting the injector corrupt the latch.
+    /// The element-fill path stores one lane at a time, so it stays
+    /// scalar: a one-lane plane write costs more than it saves.
     #[inline]
     fn store_cell(&mut self, row: usize, lane: usize, value: u32) {
         let (bits, words) = (self.bits, self.words);
@@ -507,65 +611,95 @@ impl EveArray {
             Some(f) => {
                 let phys = f.remap[row];
                 match f.mode {
-                    DetectionMode::Parity => f.parity[phys][lane] = odd_parity(value),
+                    DetectionMode::Parity => {
+                        let p = u64::from(odd_parity(value)) << (lane % WORD_BITS);
+                        let i = phys * words + lane / WORD_BITS;
+                        f.parity[i] = blend(f.parity[i], p, 1 << (lane % WORD_BITS));
+                    }
                     DetectionMode::Secded => {
                         let cb = f.code.check_bits() as usize;
                         let chk = &mut f.check[phys * cb * words..(phys + 1) * cb * words];
                         lane_set(chk, words, cb, lane, f.code.encode(value));
                     }
                 }
-                (phys, f.inj.corrupt_write(phys as u32, lane as u32, value))
+                let stored = f.inj.corrupt_write(phys as u32, lane as u32, value);
+                if stored != value {
+                    f.suspect[phys] = true;
+                }
+                (phys, stored)
             }
         };
         let range = self.row_range(phys);
         lane_set(&mut self.storage[range], words, bits, lane, value);
     }
 
-    /// Checks a row on a μprogram read: per-lane parity compare in
+    /// With an injector attached, seals a row write that has blended
+    /// its intended planes into physical row `phys`: check bits from the
+    /// intended values of the written lanes (`mask` if `masked`, else
+    /// all), then the injector corrupts the latch.
+    #[inline]
+    fn seal_row(&mut self, phys: usize, masked: bool) {
+        let pl = self.plane_len();
+        if let Some(f) = &mut self.fault {
+            let sel = if masked { &self.mask } else { &self.full };
+            let planes = &mut self.storage[phys * pl..(phys + 1) * pl];
+            f.encode(phys, sel, planes);
+            if f.inj.corrupt_write_planes(phys as u32, sel, planes) {
+                f.suspect[phys] = true;
+            }
+        }
+    }
+
+    /// Checks a row on a μprogram read: word-parallel parity compare in
     /// parity mode, word-parallel SECDED syndrome audit (with in-place
     /// correction) in SECDED mode.
     #[inline]
     fn check_row(&mut self, row: usize) {
         match self.fault.as_ref().map(|f| f.mode) {
             None => {}
-            Some(DetectionMode::Parity) => self.check_row_parity(row),
+            Some(DetectionMode::Parity) => {
+                let _ = self.check_row_parity(row);
+            }
             Some(DetectionMode::Secded) => {
                 let _ = self.secded_audit_row(row);
             }
         }
     }
 
-    /// Parity-checks every lane of a row on a μprogram read (the row is
-    /// read as one wide word, parity bits interleaved lane by lane),
-    /// raising an alarm per mismatch.
-    #[inline]
-    fn check_row_parity(&mut self, row: usize) {
-        let (bits, words) = (self.bits, self.words);
-        let lanes = self.lanes;
+    /// Parity-checks every lane of a row (the row is read as one wide
+    /// word, parity bits interleaved lane by lane), raising an alarm
+    /// per mismatch. Returns the mismatch count.
+    fn check_row_parity(&mut self, row: usize) -> u64 {
         let pl = self.plane_len();
-        if let Some(f) = &mut self.fault {
-            let phys = f.remap[row];
-            let planes = &self.storage[phys * pl..(phys + 1) * pl];
-            let mut hits = 0u64;
-            for (lane, &p) in f.parity[phys][..lanes].iter().enumerate() {
-                if p != odd_parity(lane_get(planes, words, bits, lane)) {
-                    hits += 1;
-                }
-            }
-            f.alarms += hits;
-            f.row_events[row] += hits;
+        let Some(f) = &mut self.fault else {
+            return 0;
+        };
+        let phys = f.remap[row];
+        let planes = &self.storage[phys * pl..(phys + 1) * pl];
+        if !f.suspect[phys] {
+            debug_assert_eq!(
+                f.parity_mismatches(phys, planes, &self.full),
+                0,
+                "row {row} skipped with a parity mismatch"
+            );
+            return 0;
         }
+        let hits = f.parity_mismatches(phys, planes, &self.full);
+        if hits == 0 {
+            f.suspect[phys] = false;
+        }
+        f.alarms += hits;
+        f.row_events[row] += hits;
+        hits
     }
 
     /// Word-parallel SECDED audit of one logical row, correcting
     /// single-bit errors in place and flagging double-bit errors.
     ///
-    /// The fast path never leaves word algebra: each syndrome plane is
-    /// the stored check plane XORed with the data planes of its parity
-    /// group ([`SecdedCode::group_mask`]), and the overall-parity
-    /// plane folds in every data and check plane. Only lanes inside a
-    /// nonzero syndrome word — in a healthy array, none — fall back to
-    /// per-lane decode and repair.
+    /// The fast path never leaves word algebra
+    /// ([`FaultState::syndromes`]). Only lanes inside a nonzero
+    /// syndrome word fall back to per-lane decode and repair, and rows
+    /// that are not suspect are not checked at all.
     ///
     /// The repair models the ECC pipeline on the read port: the
     /// corrected value is both delivered downstream and written back,
@@ -580,37 +714,22 @@ impl EveArray {
             return (0, 0);
         };
         let phys = f.remap[row];
-        let code = f.code;
-        let r = code.hamming_bits() as usize;
-        let cb = code.check_bits() as usize;
         let data_base = phys * pl;
+        let planes = &self.storage[data_base..data_base + pl];
+        if !f.suspect[phys] {
+            debug_assert!(
+                !f.syndromes(phys, planes, &self.full),
+                "row {row} skipped with a nonzero SECDED syndrome"
+            );
+            return (0, 0);
+        }
+        if !f.syndromes(phys, planes, &self.full) {
+            f.suspect[phys] = false;
+            return (0, 0);
+        }
+        let code = f.code;
+        let cb = code.check_bits() as usize;
         let chk_base = phys * cb * words;
-        // Syndrome planes, word-parallel.
-        for j in 0..r {
-            let group = code.group_mask(j as u32);
-            for w in 0..words {
-                let mut s = f.check[chk_base + j * words + w];
-                let mut m = group;
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    s ^= self.storage[data_base + b * words + w];
-                    m &= m - 1;
-                }
-                f.scr_s[j * words + w] = s;
-            }
-        }
-        // Overall-parity plane: stored P vs parity of the whole
-        // codeword (every data plane plus every Hamming check plane).
-        for w in 0..words {
-            let mut p = f.check[chk_base + r * words + w];
-            for b in 0..bits {
-                p ^= self.storage[data_base + b * words + w];
-            }
-            for j in 0..r {
-                p ^= f.check[chk_base + j * words + w];
-            }
-            f.scr_s[r * words + w] = p;
-        }
         let (mut corrected, mut uncorrectable) = (0u64, 0u64);
         for w in 0..words {
             let mut dirty = 0u64;
@@ -649,6 +768,9 @@ impl EveArray {
                 }
             }
         }
+        if uncorrectable == 0 {
+            f.suspect[phys] = false;
+        }
         f.corrected += corrected;
         f.alarms += uncorrectable;
         f.row_events[row] += corrected + uncorrectable;
@@ -670,11 +792,7 @@ impl EveArray {
         for seg in 0..segs {
             let row = self.reg_row(vreg, seg);
             match mode {
-                DetectionMode::Parity => {
-                    let before = self.parity_alarms();
-                    self.check_row_parity(row);
-                    uncorrectable += self.parity_alarms() - before;
-                }
+                DetectionMode::Parity => uncorrectable += self.check_row_parity(row),
                 DetectionMode::Secded => {
                     let (c, u) = self.secded_audit_row(row);
                     corrected += c;
@@ -728,22 +846,12 @@ impl EveArray {
         f.spares_used += 1;
         f.remapped += 1;
         f.row_events[row] = 0;
+        let planes = &mut self.storage[new_phys * pl..(new_phys + 1) * pl];
         for (lane, v) in values.into_iter().enumerate() {
-            match f.mode {
-                DetectionMode::Parity => f.parity[new_phys][lane] = odd_parity(v),
-                DetectionMode::Secded => {
-                    let chk = &mut f.check[new_phys * cb * words..(new_phys + 1) * cb * words];
-                    lane_set(chk, words, cb, lane, code.encode(v));
-                }
-            }
-            lane_set(
-                &mut self.storage[new_phys * pl..(new_phys + 1) * pl],
-                words,
-                bits,
-                lane,
-                v,
-            );
+            lane_set(planes, words, bits, lane, v);
         }
+        f.encode(new_phys, &self.full, planes);
+        f.suspect[new_phys] = false;
         true
     }
 
@@ -760,11 +868,7 @@ impl EveArray {
         for row in 0..self.rows {
             stats.rows += 1;
             match mode {
-                DetectionMode::Parity => {
-                    let before = self.parity_alarms();
-                    self.check_row_parity(row);
-                    stats.uncorrectable += self.parity_alarms() - before;
-                }
+                DetectionMode::Parity => stats.uncorrectable += self.check_row_parity(row),
                 DetectionMode::Secded => {
                     let (c, u) = self.secded_audit_row(row);
                     stats.corrected += c;
@@ -946,59 +1050,13 @@ impl EveArray {
         }
     }
 
-    /// One lane's value of a writeback source (fault-path writebacks).
-    #[inline]
-    fn src_lane(&self, src: ComputeSrc, lane: usize) -> u32 {
-        let (bits, words) = (self.bits, self.words);
-        let pick = |planes: &[u64]| lane_get(planes, words, bits, lane);
-        match src {
-            ComputeSrc::And => pick(&self.blc.and),
-            ComputeSrc::Nand => {
-                if self.blc.valid {
-                    !pick(&self.blc.and) & self.seg_mask
-                } else {
-                    0
-                }
-            }
-            ComputeSrc::Or => pick(&self.blc.or),
-            ComputeSrc::Nor => {
-                if self.blc.valid {
-                    !pick(&self.blc.or) & self.seg_mask
-                } else {
-                    0
-                }
-            }
-            ComputeSrc::Xor => pick(&self.blc.xor),
-            ComputeSrc::Xnor => {
-                if self.blc.valid {
-                    !pick(&self.blc.xor) & self.seg_mask
-                } else {
-                    0
-                }
-            }
-            ComputeSrc::Add => pick(&self.blc.sum),
-            ComputeSrc::Shift => pick(&self.shifter),
-            ComputeSrc::Mask => u32::from(word_bit(&self.mask, lane)),
-        }
-    }
-
-    /// Writes a computed source into a row. Healthy runs blend whole
-    /// bit-planes; with an injector attached, falls back to per-lane
-    /// stores so `corrupt_write` fires in ascending lane order for the
-    /// mask-selected lanes only — the scalar executor's exact RNG
-    /// order.
+    /// Writes a computed source into a row: one pass blending whole
+    /// bit-planes (mask-gated if `masked`), then, with an injector
+    /// attached, [`Self::seal_row`].
     fn write_row(&mut self, row: usize, src: ComputeSrc, masked: bool) {
-        if self.fault.is_some() {
-            for lane in 0..self.lanes {
-                if !masked || word_bit(&self.mask, lane) {
-                    let v = self.src_lane(src, lane);
-                    self.store_cell(row, lane, v);
-                }
-            }
-            return;
-        }
         let (bits, words) = (self.bits, self.words);
-        let base = row * self.plane_len();
+        let phys = self.phys_row(row);
+        let base = phys * self.plane_len();
         for b in 0..bits {
             for w in 0..words {
                 let v = self.src_word(src, b, w);
@@ -1010,6 +1068,7 @@ impl EveArray {
                 }
             }
         }
+        self.seal_row(phys, masked);
     }
 
     fn exec_arith(&mut self, uop: &ArithUop, binding: &Binding, counters: &CounterFile) {
@@ -1027,55 +1086,43 @@ impl EveArray {
             }
             ArithUop::WriteConst { op, value, masked } => {
                 let row = self.resolve(&op, binding, counters);
-                let value = value & self.seg_mask;
-                if self.fault.is_some() {
-                    for lane in 0..self.lanes {
-                        if !masked || word_bit(&self.mask, lane) {
-                            self.store_cell(row, lane, value);
-                        }
-                    }
-                } else {
-                    let (bits, words) = (self.bits, self.words);
-                    let base = row * self.plane_len();
-                    for b in 0..bits {
-                        for w in 0..words {
-                            let v = if (value >> b) & 1 == 1 {
-                                self.full[w]
-                            } else {
-                                0
-                            };
-                            let i = base + b * words + w;
-                            if masked {
-                                self.storage[i] = blend(self.storage[i], v, self.mask[w]);
-                            } else {
-                                self.storage[i] = v;
-                            }
+                let (bits, words) = (self.bits, self.words);
+                let phys = self.phys_row(row);
+                let base = phys * self.plane_len();
+                for b in 0..bits {
+                    for w in 0..words {
+                        let v = if (value >> b) & 1 == 1 {
+                            self.full[w]
+                        } else {
+                            0
+                        };
+                        let i = base + b * words + w;
+                        if masked {
+                            self.storage[i] = blend(self.storage[i], v, self.mask[w]);
+                        } else {
+                            self.storage[i] = v;
                         }
                     }
                 }
+                self.seal_row(phys, masked);
             }
             ArithUop::WriteDataIn { op } => {
                 let row = self.resolve(&op, binding, counters);
-                if self.fault.is_some() {
-                    for lane in 0..self.lanes {
-                        let v = self.data_in[lane] & self.seg_mask;
-                        self.store_cell(row, lane, v);
-                    }
-                } else {
-                    let range = self.row_range(row);
-                    let this = &mut *self;
-                    let planes = &mut this.storage[range];
-                    planes.fill(0);
-                    for (lane, &d) in this.data_in.iter().enumerate() {
-                        let (w, s) = (lane / WORD_BITS, lane % WORD_BITS);
-                        let mut rest = d & this.seg_mask;
-                        while rest != 0 {
-                            let b = rest.trailing_zeros() as usize;
-                            planes[b * this.words + w] |= 1u64 << s;
-                            rest &= rest - 1;
-                        }
+                let phys = self.phys_row(row);
+                let range = self.row_range(phys);
+                let this = &mut *self;
+                let planes = &mut this.storage[range];
+                planes.fill(0);
+                for (lane, &d) in this.data_in.iter().enumerate() {
+                    let (w, s) = (lane / WORD_BITS, lane % WORD_BITS);
+                    let mut rest = d & this.seg_mask;
+                    while rest != 0 {
+                        let b = rest.trailing_zeros() as usize;
+                        planes[b * this.words + w] |= 1u64 << s;
+                        rest &= rest - 1;
                     }
                 }
+                self.seal_row(phys, false);
             }
             ArithUop::Blc { a, b, carry_in } => {
                 let ra = self.resolve(&a, binding, counters);
@@ -1184,30 +1231,24 @@ impl EveArray {
         let (bits, words) = (self.bits, self.words);
         let pl = bits * words;
         let (pra, prb) = (self.phys_row(ra), self.phys_row(rb));
-        let faulty = self.fault.is_some();
-        if faulty {
-            // Sense-amp glitches corrupt the operands *before* the
-            // logic layers latch them. Unpack and re-pack per lane so
-            // the injector sees the scalar executor's exact call order
-            // (lane 0: a then b, lane 1: a then b, ...).
-            for lane in 0..self.lanes {
-                let av = lane_get(&self.storage[pra * pl..(pra + 1) * pl], words, bits, lane);
-                let bv = lane_get(&self.storage[prb * pl..(prb + 1) * pl], words, bits, lane);
-                let f = self.fault.as_mut().expect("fault state present");
-                let av = f.inj.corrupt_sense(pra as u32, lane as u32, av);
-                let bv = f.inj.corrupt_sense(prb as u32, lane as u32, bv);
-                lane_set(&mut self.scr_a, words, bits, lane, av);
-                lane_set(&mut self.scr_b, words, bits, lane, bv);
-            }
-        }
         let this = &mut *self;
-        let (pa, pb): (&[u64], &[u64]) = if faulty {
-            (&this.scr_a, &this.scr_b)
-        } else {
-            (
-                &this.storage[pra * pl..(pra + 1) * pl],
-                &this.storage[prb * pl..(prb + 1) * pl],
-            )
+        let (row_a, row_b) = (pra * pl..(pra + 1) * pl, prb * pl..(prb + 1) * pl);
+        let (pa, pb): (&[u64], &[u64]) = match &mut this.fault {
+            // Sense-amp glitches corrupt the operands *before* the
+            // logic layers latch them.
+            Some(f) => {
+                this.scr_a.copy_from_slice(&this.storage[row_a]);
+                this.scr_b.copy_from_slice(&this.storage[row_b]);
+                f.inj.corrupt_sense_planes(
+                    pra as u32,
+                    prb as u32,
+                    &this.full,
+                    &mut this.scr_a,
+                    &mut this.scr_b,
+                );
+                (&this.scr_a, &this.scr_b)
+            }
+            None => (&this.storage[row_a], &this.storage[row_b]),
         };
         match carry_in {
             CarryIn::Stored => {}

@@ -31,7 +31,6 @@
 //!   unit tests. Scripted transients fire at most once.
 
 use eve_common::SplitMix64;
-use std::collections::HashMap;
 
 /// The circuit layer a scripted transient strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,13 +207,31 @@ impl FaultStats {
 /// Create one from a [`FaultConfig`], attach it with
 /// [`crate::EveArray::attach_injector`], and read the damage back via
 /// [`FaultInjector::stats`] after execution.
+///
+/// Every random draw depends only on the sequence of corruption
+/// events, never on the data: a write or sense draws once per lane, in
+/// ascending lane order, whether it arrives per lane
+/// ([`Self::corrupt_write`], [`Self::corrupt_sense`]) or as whole
+/// bit-planes ([`Self::corrupt_write_planes`],
+/// [`Self::corrupt_sense_planes`]). Both forms therefore consume the
+/// same RNG stream and make the same corruptions.
+///
+/// [`EveArray`]: crate::EveArray
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     config: FaultConfig,
     rng: SplitMix64,
-    /// `(row, lane)` → `(bit, stuck_value)` for sampled + scripted
-    /// stuck cells.
-    stuck: HashMap<(u32, u32), (u8, bool)>,
+    /// Stuck-at-0 and stuck-at-1 bit-planes of the armed rows, laid out
+    /// like `EveArray` storage: row `r`, bit `b`, word `w` lives at
+    /// `(r * seg_bits + b) * words + w`. A cell has at most one stuck
+    /// bit; rows past the armed ones (spares) have none.
+    stuck0: Vec<u64>,
+    stuck1: Vec<u64>,
+    /// Armed array dimensions.
+    rows: u32,
+    lanes: u32,
+    /// Packed words per bit-plane: `lanes.div_ceil(64)`.
+    words: usize,
     /// Tracks which scripted transients already fired.
     fired: Vec<bool>,
     cycle: u64,
@@ -233,7 +250,11 @@ impl FaultInjector {
         Self {
             config,
             rng,
-            stuck: HashMap::new(),
+            stuck0: Vec::new(),
+            stuck1: Vec::new(),
+            rows: 0,
+            lanes: 0,
+            words: 0,
             fired,
             cycle: 0,
             seg_bits: 32,
@@ -244,12 +265,35 @@ impl FaultInjector {
 
     /// Samples the stuck-cell population for an array of
     /// `rows × lanes` cells with `seg_bits`-bit segments. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the fault, if a scripted fault targets a bit at
+    /// or above `seg_bits`, or a scripted stuck-at targets a cell
+    /// outside the `rows × lanes` array.
     pub fn arm(&mut self, rows: u32, lanes: u32, seg_bits: u32) {
         if self.armed {
             return;
         }
+        for f in &self.config.scripted {
+            assert!(
+                u32::from(f.bit) < seg_bits,
+                "scripted fault {f:?}: bit {} is outside the {seg_bits}-bit segment",
+                f.bit
+            );
+            assert!(
+                matches!(f.kind, FaultKind::Transient(_)) || (f.row < rows && f.lane < lanes),
+                "scripted fault {f:?}: cell outside the {rows}-row, {lanes}-lane array"
+            );
+        }
         self.armed = true;
         self.seg_bits = seg_bits;
+        self.rows = rows;
+        self.lanes = lanes;
+        self.words = (lanes as usize).div_ceil(64);
+        let len = rows as usize * seg_bits as usize * self.words;
+        self.stuck0 = vec![0; len];
+        self.stuck1 = vec![0; len];
         if self.config.stuck_rate > 0.0 {
             // Row-major scan with one Bernoulli draw per cell: the
             // sampled population depends only on (seed, dimensions).
@@ -258,23 +302,41 @@ impl FaultInjector {
                     if self.rng.chance(self.config.stuck_rate) {
                         let bit = self.rng.below(u64::from(seg_bits)) as u8;
                         let value = self.rng.chance(0.5);
-                        self.stuck.insert((row, lane), (bit, value));
+                        self.set_stuck(row, lane, bit, value);
                     }
                 }
             }
         }
-        for f in &self.config.scripted {
+        for f in self.config.scripted.clone() {
             match f.kind {
-                FaultKind::StuckAt0 => {
-                    self.stuck.insert((f.row, f.lane), (f.bit, false));
-                }
-                FaultKind::StuckAt1 => {
-                    self.stuck.insert((f.row, f.lane), (f.bit, true));
-                }
+                FaultKind::StuckAt0 => self.set_stuck(f.row, f.lane, f.bit, false),
+                FaultKind::StuckAt1 => self.set_stuck(f.row, f.lane, f.bit, true),
                 FaultKind::Transient(_) => {}
             }
         }
-        self.stats.stuck_cells = self.stuck.len() as u64;
+    }
+
+    /// Makes `bit` of cell `(row, lane)` stuck at `value`, replacing
+    /// any stuck bit the cell already had.
+    fn set_stuck(&mut self, row: u32, lane: u32, bit: u8, value: bool) {
+        let (w, m) = (lane as usize / 64, 1u64 << (lane % 64));
+        let base = row as usize * self.seg_bits as usize;
+        let mut had = false;
+        for b in 0..self.seg_bits as usize {
+            let i = (base + b) * self.words + w;
+            had |= (self.stuck0[i] | self.stuck1[i]) & m != 0;
+            self.stuck0[i] &= !m;
+            self.stuck1[i] &= !m;
+        }
+        let i = (base + usize::from(bit)) * self.words + w;
+        if value {
+            self.stuck1[i] |= m;
+        } else {
+            self.stuck0[i] |= m;
+        }
+        if !had {
+            self.stats.stuck_cells += 1;
+        }
     }
 
     /// Advances the μprogram cycle counter (one call per tuple).
@@ -306,25 +368,22 @@ impl FaultInjector {
     #[must_use]
     pub fn corrupt_write(&mut self, row: u32, lane: u32, value: u32) -> u32 {
         let mut v = value;
-        if self.config.transient_write_rate > 0.0
-            && self.rng.chance(self.config.transient_write_rate)
-        {
-            v ^= 1 << self.rng.below(u64::from(self.seg_bits));
+        if let Some(bit) = self.draw_flip(self.config.transient_write_rate) {
+            v ^= 1 << bit;
             self.stats.write_flips += 1;
         }
-        v = self.apply_scripted(FaultLayer::Writeback, row, lane, v);
-        if let Some(&(bit, stuck)) = self.stuck.get(&(row, lane)) {
-            let forced = if stuck {
-                v | (1 << bit)
-            } else {
-                v & !(1 << bit)
-            };
-            if forced != v {
-                self.stats.stuck_perturbed_writes += 1;
-            }
-            v = forced;
+        self.fire_scripted(
+            FaultLayer::Writeback,
+            row,
+            |l| l == lane,
+            |_, bit| v ^= 1 << bit,
+        );
+        let (s0, s1) = self.stuck_lane(row, lane);
+        let forced = (v & !s0) | s1;
+        if forced != v {
+            self.stats.stuck_perturbed_writes += 1;
         }
-        v
+        forced
     }
 
     /// Corrupts an operand read by the bit-line compute layer. The
@@ -333,42 +392,178 @@ impl FaultInjector {
     #[must_use]
     pub fn corrupt_sense(&mut self, row: u32, lane: u32, value: u32) -> u32 {
         let mut v = value;
-        if self.config.transient_sense_rate > 0.0
-            && self.rng.chance(self.config.transient_sense_rate)
-        {
-            v ^= 1 << self.rng.below(u64::from(self.seg_bits));
+        if let Some(bit) = self.draw_flip(self.config.transient_sense_rate) {
+            v ^= 1 << bit;
             self.stats.sense_flips += 1;
         }
-        self.apply_scripted(FaultLayer::Sense, row, lane, v)
+        self.fire_scripted(
+            FaultLayer::Sense,
+            row,
+            |l| l == lane,
+            |_, bit| v ^= 1 << bit,
+        );
+        v
     }
 
-    /// True when this injector can never corrupt anything.
-    #[must_use]
-    pub fn is_inert(&self) -> bool {
-        self.config.is_zero()
-    }
-
-    fn apply_scripted(&mut self, layer: FaultLayer, row: u32, lane: u32, value: u32) -> u32 {
-        if self.config.scripted.is_empty() {
-            return value;
+    /// Bit-plane form of [`Self::corrupt_write`] for a whole row write.
+    ///
+    /// `planes` holds the row's `seg_bits` bit-planes of `sel.len()`
+    /// words each (the `EveArray` storage layout), already carrying the
+    /// intended values; `sel` selects the written lanes. The result is
+    /// exactly what `corrupt_write` would make of each selected lane,
+    /// called in ascending lane order: the same draws, flips, scripted
+    /// firings and stats. Unselected lanes are left alone. Returns
+    /// whether any bit may have changed (a flip, a fired transient or a
+    /// perturbing stuck cell).
+    pub fn corrupt_write_planes(&mut self, row: u32, sel: &[u64], planes: &mut [u64]) -> bool {
+        let words = sel.len();
+        debug_assert_eq!(planes.len(), self.seg_bits as usize * words);
+        let mut changed = false;
+        let rate = self.config.transient_write_rate;
+        if rate > 0.0 {
+            for_each_lane(sel, |w, m| {
+                if let Some(bit) = self.draw_flip(rate) {
+                    planes[bit as usize * words + w] ^= m;
+                    self.stats.write_flips += 1;
+                    changed = true;
+                }
+            });
         }
-        let mut v = value;
+        changed |= self.fire_scripted(
+            FaultLayer::Writeback,
+            row,
+            |l| lane_selected(sel, l),
+            |l, bit| planes[usize::from(bit) * words + l as usize / 64] ^= 1 << (l % 64),
+        );
+        if self.stats.stuck_cells > 0 && row < self.rows {
+            let base = row as usize * planes.len();
+            for (w, &m) in sel.iter().enumerate() {
+                let mut perturbed = 0u64;
+                for b in 0..self.seg_bits as usize {
+                    let i = b * words + w;
+                    let s0 = self.stuck0[base + i] & m;
+                    let s1 = self.stuck1[base + i] & m;
+                    let v = planes[i];
+                    perturbed |= (v & s0) | (!v & s1);
+                    planes[i] = (v & !s0) | s1;
+                }
+                self.stats.stuck_perturbed_writes += u64::from(perturbed.count_ones());
+                changed |= perturbed != 0;
+            }
+        }
+        changed
+    }
+
+    /// Bit-plane form of [`Self::corrupt_sense`] for one bit-line
+    /// compute: `pa` and `pb` hold the operand rows `ra` and `rb` as
+    /// sensed. Each lane in `sel`, ascending, draws for `a` then for
+    /// `b` — the call order of the per-lane form — so the stream and
+    /// every flip match it exactly.
+    pub fn corrupt_sense_planes(
+        &mut self,
+        ra: u32,
+        rb: u32,
+        sel: &[u64],
+        pa: &mut [u64],
+        pb: &mut [u64],
+    ) {
+        let words = sel.len();
+        let rate = self.config.transient_sense_rate;
+        if rate > 0.0 {
+            for_each_lane(sel, |w, m| {
+                for p in [&mut *pa, &mut *pb] {
+                    if let Some(bit) = self.draw_flip(rate) {
+                        p[bit as usize * words + w] ^= m;
+                        self.stats.sense_flips += 1;
+                    }
+                }
+            });
+        }
+        for (row, p) in [(ra, pa), (rb, pb)] {
+            self.fire_scripted(
+                FaultLayer::Sense,
+                row,
+                |l| lane_selected(sel, l),
+                |l, bit| p[usize::from(bit) * words + l as usize / 64] ^= 1 << (l % 64),
+            );
+        }
+    }
+
+    /// One Bernoulli trial at `rate`; on a hit, the segment bit to
+    /// flip. A zero rate draws nothing.
+    fn draw_flip(&mut self, rate: f64) -> Option<u32> {
+        if rate > 0.0 && self.rng.chance(rate) {
+            Some(self.rng.below(u64::from(self.seg_bits)) as u32)
+        } else {
+            None
+        }
+    }
+
+    /// The stuck-at-0 and stuck-at-1 bits of cell `(row, lane)` as
+    /// segment masks.
+    fn stuck_lane(&self, row: u32, lane: u32) -> (u32, u32) {
+        if self.stats.stuck_cells == 0 || row >= self.rows || lane >= self.lanes {
+            return (0, 0);
+        }
+        let (w, s) = (lane as usize / 64, lane % 64);
+        let base = row as usize * self.seg_bits as usize;
+        let (mut s0, mut s1) = (0u32, 0u32);
+        for b in 0..self.seg_bits as usize {
+            let i = (base + b) * self.words + w;
+            s0 |= (((self.stuck0[i] >> s) & 1) as u32) << b;
+            s1 |= (((self.stuck1[i] >> s) & 1) as u32) << b;
+        }
+        (s0, s1)
+    }
+
+    /// Fires every unfired scripted transient at `layer` on `row` that
+    /// is live this cycle and whose lane `hits` accepts, calling
+    /// `flip(lane, bit)` for each. Returns whether any fired.
+    fn fire_scripted(
+        &mut self,
+        layer: FaultLayer,
+        row: u32,
+        hits: impl Fn(u32) -> bool,
+        mut flip: impl FnMut(u32, u8),
+    ) -> bool {
+        let mut any = false;
         for (i, f) in self.config.scripted.iter().enumerate() {
             if self.fired[i]
                 || f.kind != FaultKind::Transient(layer)
                 || f.row != row
-                || f.lane != lane
                 || self.cycle < f.from_cycle
                 || self.cycle > f.until_cycle
+                || !hits(f.lane)
             {
                 continue;
             }
-            v ^= 1 << f.bit;
+            flip(f.lane, f.bit);
             self.fired[i] = true;
             self.stats.scripted_fired += 1;
+            any = true;
         }
-        v
+        any
     }
+}
+
+/// Calls `f(word, lane_bit)` for every lane set in `sel`, ascending.
+#[inline]
+fn for_each_lane(sel: &[u64], mut f: impl FnMut(usize, u64)) {
+    for (w, &word) in sel.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let m = rest & rest.wrapping_neg();
+            f(w, m);
+            rest ^= m;
+        }
+    }
+}
+
+/// Whether lane `lane` is set in the lane mask `sel`.
+#[inline]
+fn lane_selected(sel: &[u64], lane: u32) -> bool {
+    sel.get(lane as usize / 64)
+        .is_some_and(|w| (w >> (lane % 64)) & 1 == 1)
 }
 
 #[cfg(test)]
@@ -382,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_config_is_inert() {
+    fn zero_config_corrupts_nothing() {
         let mut inj = armed(FaultConfig::none(1));
         for row in 0..64 {
             for lane in 0..8 {
@@ -390,7 +585,7 @@ mod tests {
                 assert_eq!(inj.corrupt_sense(row, lane, 0x5A), 0x5A);
             }
         }
-        assert!(inj.is_inert());
+        assert!(inj.config().is_zero());
         assert_eq!(inj.stats().total_events(), 0);
     }
 
@@ -455,6 +650,175 @@ mod tests {
         // A sense-layer fault never perturbs writes.
         assert_eq!(inj.corrupt_write(3, 1, 6), 6);
         assert_eq!(inj.corrupt_sense(3, 1, 6), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit 30 is outside the 8-bit segment")]
+    fn arm_rejects_a_scripted_bit_outside_the_segment() {
+        let mut cfg = FaultConfig::none(0);
+        cfg.scripted.push(Fault::stuck_at(4, 0, 30, true));
+        let _ = armed(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell outside the 64-row, 8-lane array")]
+    fn arm_rejects_a_stuck_cell_outside_the_array() {
+        let mut cfg = FaultConfig::none(0);
+        cfg.scripted.push(Fault::stuck_at(2, 8, 0, false));
+        let _ = armed(cfg);
+    }
+
+    /// Lane `lane`'s segment out of bit-planes of `words` words each.
+    fn lane_value(planes: &[u64], words: usize, lane: u32) -> u32 {
+        let (w, s) = (lane as usize / 64, lane % 64);
+        (0..planes.len() / words).fold(0, |v, b| {
+            v | (((planes[b * words + w] >> s) & 1) as u32) << b
+        })
+    }
+
+    /// Per-lane values packed into `bits` bit-planes of `words` words.
+    fn pack(values: &[u32], bits: u32, words: usize) -> Vec<u64> {
+        let mut planes = vec![0u64; bits as usize * words];
+        for (lane, &v) in values.iter().enumerate() {
+            for b in 0..bits as usize {
+                planes[b * words + lane / 64] |= u64::from((v >> b) & 1) << (lane % 64);
+            }
+        }
+        planes
+    }
+
+    /// Twin injectors from one config, one taking the plane calls and
+    /// one the per-lane calls for each selected lane in ascending order
+    /// (`a` then `b` for senses), must agree on every value and stat
+    /// after every call, and on 1,000 further per-lane calls — their
+    /// RNG streams stay aligned.
+    #[test]
+    fn plane_calls_match_per_lane_calls() {
+        const ROWS: u32 = 6;
+        const BITS: u32 = 8;
+        let mut rng = SplitMix64::new(0x91A7E);
+        let mut overrides = 0;
+        for lanes in [1u32, 63, 64, 67, 130] {
+            let words = (lanes as usize).div_ceil(64);
+            let full: Vec<u64> = (0..words)
+                .map(|w| match lanes as usize - w * 64 {
+                    n if n >= 64 => u64::MAX,
+                    n => (1 << n) - 1,
+                })
+                .collect();
+            for rate in [0.0, 1e-3, 0.3] {
+                let mut cfg = FaultConfig {
+                    stuck_rate: if rate > 0.0 { 0.05 } else { 0.0 },
+                    ..FaultConfig::uniform(rng.next_u64(), rate)
+                };
+                let last = lanes - 1;
+                cfg.scripted.push(Fault::transient(
+                    FaultLayer::Writeback,
+                    1,
+                    last,
+                    3,
+                    0,
+                    u64::MAX,
+                ));
+                cfg.scripted
+                    .push(Fault::transient(FaultLayer::Sense, 2, last, 5, 0, u64::MAX));
+                cfg.scripted
+                    .push(Fault::transient(FaultLayer::Sense, 3, 0, 1, 9, u64::MAX));
+                // A scripted stuck-at on a sampled cell replaces it.
+                let mut probe = FaultInjector::new(cfg.clone());
+                probe.arm(ROWS, lanes, BITS);
+                let sampled = (0..ROWS)
+                    .flat_map(|row| (0..lanes).map(move |lane| (row, lane)))
+                    .find(|&(row, lane)| probe.stuck_lane(row, lane) != (0, 0));
+                if let Some((row, lane)) = sampled {
+                    let (s0, s1) = probe.stuck_lane(row, lane);
+                    let bit = ((s0 | s1).trailing_zeros() + 1) % BITS;
+                    cfg.scripted
+                        .push(Fault::stuck_at(row, lane, bit as u8, s1 == 0));
+                    overrides += 1;
+                }
+                let twin = || {
+                    let mut inj = FaultInjector::new(cfg.clone());
+                    inj.arm(ROWS, lanes, BITS);
+                    inj
+                };
+                let (mut by_plane, mut by_lane) = (twin(), twin());
+                assert_eq!(by_plane.stats().stuck_cells, probe.stats().stuck_cells);
+                for step in 0..40u32 {
+                    let ctx = format!("lanes {lanes} rate {rate} step {step}");
+                    by_plane.tick();
+                    by_lane.tick();
+                    let sel: Vec<u64> = if step % 5 < 2 {
+                        full.clone()
+                    } else {
+                        full.iter().map(|&m| rng.next_u64() & m).collect()
+                    };
+                    let values = |rng: &mut SplitMix64| -> Vec<u32> {
+                        (0..lanes).map(|_| rng.next_u32() & 0xFF).collect()
+                    };
+                    if step % 2 == 0 {
+                        let row = if step == 0 {
+                            1
+                        } else {
+                            rng.below(u64::from(ROWS)) as u32
+                        };
+                        let v = values(&mut rng);
+                        let mut planes = pack(&v, BITS, words);
+                        let _ = by_plane.corrupt_write_planes(row, &sel, &mut planes);
+                        for lane in 0..lanes {
+                            let want = if lane_selected(&sel, lane) {
+                                by_lane.corrupt_write(row, lane, v[lane as usize])
+                            } else {
+                                v[lane as usize]
+                            };
+                            assert_eq!(lane_value(&planes, words, lane), want, "{ctx} lane {lane}");
+                        }
+                    } else {
+                        // Step 1 senses one row as both operands.
+                        let ra = if step == 1 {
+                            2
+                        } else {
+                            rng.below(u64::from(ROWS)) as u32
+                        };
+                        let rb = if step % 3 == 1 {
+                            ra
+                        } else {
+                            rng.below(u64::from(ROWS)) as u32
+                        };
+                        let (va, vb) = (values(&mut rng), values(&mut rng));
+                        let (mut pa, mut pb) = (pack(&va, BITS, words), pack(&vb, BITS, words));
+                        by_plane.corrupt_sense_planes(ra, rb, &sel, &mut pa, &mut pb);
+                        for lane in 0..lanes {
+                            let (mut a, mut b) = (va[lane as usize], vb[lane as usize]);
+                            if lane_selected(&sel, lane) {
+                                a = by_lane.corrupt_sense(ra, lane, a);
+                                b = by_lane.corrupt_sense(rb, lane, b);
+                            }
+                            assert_eq!(lane_value(&pa, words, lane), a, "{ctx} a lane {lane}");
+                            assert_eq!(lane_value(&pb, words, lane), b, "{ctx} b lane {lane}");
+                        }
+                    }
+                    assert_eq!(by_plane.stats(), by_lane.stats(), "{ctx}");
+                }
+                assert!(by_plane.stats().scripted_fired > 0);
+                for i in 0..1000u32 {
+                    let (row, lane, v) = (i % ROWS, i % lanes, i.wrapping_mul(0x9E37) & 0xFF);
+                    assert_eq!(
+                        by_plane.corrupt_write(row, lane, v),
+                        by_lane.corrupt_write(row, lane, v)
+                    );
+                    assert_eq!(
+                        by_plane.corrupt_sense(row, lane, v),
+                        by_lane.corrupt_sense(row, lane, v)
+                    );
+                }
+                assert_eq!(by_plane.stats(), by_lane.stats());
+            }
+        }
+        assert!(
+            overrides > 0,
+            "no scripted stuck-at overrode a sampled cell"
+        );
     }
 
     #[test]
