@@ -338,14 +338,66 @@ mod tests {
         }
     }
 
+    const REPORTS: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/tiny_suite_reports.txt"
+    );
+
+    const REGEN: &str =
+        "EVE_UPDATE_FIXTURES=1 cargo test -p eve-sim every_system_verifies_every_tiny_kernel";
+
+    /// FNV-1a, 64-bit: a fingerprint of one report's JSON bytes.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Runs the whole tiny matrix and pins every report: cycles,
+    /// instruction count and a hash of `to_json()`, so a dropped,
+    /// added or changed stat key fails here, not only in figures.
     #[test]
     fn every_system_verifies_every_tiny_kernel() {
         let runner = Runner::new();
+        let mut got = String::from("# system workload cycles dyn_insts fnv1a64(to_json)\n");
+        let mut runs = Vec::new();
         for w in Workload::tiny_suite() {
             for sys in SystemKind::all() {
                 let r = runner.run(sys, &w).unwrap();
                 assert!(r.cycles.0 > 0, "{sys} on {}", r.workload);
+                let json = r.to_json().to_compact();
+                let line = format!(
+                    "{sys} {} {} {} {:016x}",
+                    r.workload,
+                    r.cycles.0,
+                    r.dyn_insts,
+                    fnv1a64(json.as_bytes())
+                );
+                got.push_str(&line);
+                got.push('\n');
+                runs.push((line, json));
             }
         }
+        if std::env::var_os("EVE_UPDATE_FIXTURES").is_some() {
+            std::fs::write(REPORTS, &got).expect("fixture writes");
+            return;
+        }
+        let want = std::fs::read_to_string(REPORTS)
+            .unwrap_or_else(|_| panic!("missing fixture {REPORTS}; regenerate with: {REGEN}"));
+        let want: Vec<&str> = want.lines().filter(|l| !l.starts_with('#')).collect();
+        let mut mismatches = 0;
+        for (i, (line, json)) in runs.iter().enumerate() {
+            if want.get(i) != Some(&line.as_str()) {
+                mismatches += 1;
+                eprintln!("want {:?}\n got {line}\n{json}\n", want.get(i));
+            }
+        }
+        assert!(
+            mismatches == 0 && want.len() == runs.len(),
+            "{mismatches} of {} reports differ from {REPORTS} ({} pinned); \
+             if intentional, regenerate with: {REGEN}",
+            runs.len(),
+            want.len()
+        );
     }
 }
