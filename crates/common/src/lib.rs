@@ -1,8 +1,9 @@
 //! Shared primitives for the EVE simulator workspace.
 //!
 //! This crate holds the small vocabulary types every other crate speaks:
-//! [`Cycle`] and [`Picos`] for time, [`Stats`] for named counters, and the
-//! bit-manipulation helpers used by the bit-accurate SRAM model.
+//! [`Cycle`] and [`Picos`] for time, [`Counters`] for the timing models'
+//! typed event slots and [`Stats`] for the named counters reports carry,
+//! and the bit-manipulation helpers used by the bit-accurate SRAM model.
 //!
 //! # Examples
 //!
@@ -23,7 +24,7 @@ pub mod time;
 
 pub use bits::{bit, deposit_bits, extract_bits, set_bit, transpose32};
 pub use rng::SplitMix64;
-pub use stats::{Stat, Stats};
+pub use stats::{CounterSlot, Counters, Stat, Stats};
 pub use time::{Cycle, Picos};
 
 /// Error type shared across the workspace for configuration problems.

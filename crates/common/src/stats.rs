@@ -3,9 +3,13 @@
 //! Every timing model in the workspace exposes its measurements through a
 //! [`Stats`] table so the experiment runner can collect them uniformly —
 //! the same role gem5's stats framework plays for the paper's evaluation.
+//! While a model runs it counts in [`Counters`]: fixed typed slots that
+//! cost an array add per event. `Stats` is the report form, built from
+//! the slots only when a report asks for it.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// A single named counter.
 ///
@@ -63,7 +67,7 @@ impl fmt::Display for Stat {
 /// use eve_common::Stats;
 /// let mut stats = Stats::new();
 /// stats.add("l2.misses", 10);
-/// stats.incr("l2.misses");
+/// stats.add("l2.misses", 1);
 /// assert_eq!(stats.get("l2.misses"), 11);
 /// assert_eq!(stats.get("never.touched"), 0);
 /// ```
@@ -81,17 +85,17 @@ impl Stats {
 
     /// Adds `amount` to the counter named `key`, creating it if absent.
     pub fn add(&mut self, key: &str, amount: u64) {
-        self.counters.entry_or_insert(key).add(amount);
-    }
-
-    /// Adds one to the counter named `key`, creating it if absent.
-    pub fn incr(&mut self, key: &str) {
-        self.counters.entry_or_insert(key).incr();
+        match self.counters.get_mut(key) {
+            Some(stat) => stat.add(amount),
+            None => {
+                self.counters.insert(key.to_owned(), Stat::new(amount));
+            }
+        }
     }
 
     /// Sets the counter named `key` to `value`.
     pub fn set(&mut self, key: &str, value: u64) {
-        *self.counters.entry_or_insert(key) = Stat::new(value);
+        self.counters.insert(key.to_owned(), Stat::new(value));
     }
 
     /// Value of the counter named `key`, or zero if never written.
@@ -125,16 +129,133 @@ impl Stats {
     }
 }
 
-trait EntryOrInsert {
-    fn entry_or_insert(&mut self, key: &str) -> &mut Stat;
+/// The report keys of a [`Counters`] set, one per slot.
+///
+/// Implemented by the fieldless enums [`counter_slots!`](crate::counter_slots)
+/// declares: a variant's discriminant is its slot.
+pub trait CounterSlot: Copy {
+    /// Report key of every slot, in discriminant order.
+    const NAMES: &'static [&'static str];
+
+    /// This slot's index into [`CounterSlot::NAMES`].
+    fn index(self) -> usize;
 }
 
-impl EntryOrInsert for BTreeMap<String, Stat> {
-    fn entry_or_insert(&mut self, key: &str) -> &mut Stat {
-        if !self.contains_key(key) {
-            self.insert(key.to_owned(), Stat::default());
+/// Declares a fieldless enum of [`Counters`] slots, pairing each
+/// variant with its report key.
+///
+/// # Examples
+///
+/// ```
+/// use eve_common::{counter_slots, Counters};
+///
+/// counter_slots! {
+///     enum Ctr {
+///         Hits => "hits",
+///         Misses => "misses",
+///     }
+/// }
+///
+/// let mut ctr = Counters::<Ctr>::new();
+/// ctr.incr(Ctr::Hits);
+/// ctr.add(Ctr::Misses, 0);
+/// let stats = ctr.to_stats();
+/// assert_eq!(stats.get("hits"), 1);
+/// // Written once, even by an add of zero: the key is reported.
+/// assert_eq!(stats.iter().count(), 2);
+/// ```
+#[macro_export]
+macro_rules! counter_slots {
+    (enum $name:ident { $($slot:ident => $key:literal),+ $(,)? }) => {
+        #[derive(Debug, Clone, Copy)]
+        enum $name {
+            $($slot),+
         }
-        self.get_mut(key).expect("just inserted")
+
+        impl $crate::CounterSlot for $name {
+            const NAMES: &'static [&'static str] = &[$($key),+];
+
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+/// Most slots one [`Counters`] set holds.
+const MAX_SLOTS: usize = 32;
+
+/// A timing model's counters in fixed typed slots.
+///
+/// Counting an event is an array add — no key lookup, no allocation.
+/// [`Stats`] is the report form, built from the slots only on demand
+/// ([`Counters::to_stats`], [`Counters::write_to`]). A key appears there
+/// exactly when its slot was written at least once, even by an add of
+/// zero, so a report's key set does not depend on how counting is done.
+#[derive(Debug, Clone)]
+pub struct Counters<S> {
+    values: [u64; MAX_SLOTS],
+    /// Bit `i` is set once slot `i` has been written.
+    written: u32,
+    slots: PhantomData<S>,
+}
+
+impl<S: CounterSlot> Default for Counters<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: CounterSlot> Counters<S> {
+    /// A set with no slot written.
+    #[must_use]
+    pub fn new() -> Self {
+        const { assert!(S::NAMES.len() <= MAX_SLOTS, "too many counter slots") };
+        Self {
+            values: [0; MAX_SLOTS],
+            written: 0,
+            slots: PhantomData,
+        }
+    }
+
+    /// Adds `amount` to `slot`.
+    #[inline]
+    pub fn add(&mut self, slot: S, amount: u64) {
+        let i = slot.index();
+        self.values[i] += amount;
+        self.written |= 1 << i;
+    }
+
+    /// Adds one to `slot`.
+    #[inline]
+    pub fn incr(&mut self, slot: S) {
+        self.add(slot, 1);
+    }
+
+    /// Sets `slot` to `value`.
+    #[inline]
+    pub fn set(&mut self, slot: S, value: u64) {
+        let i = slot.index();
+        self.values[i] = value;
+        self.written |= 1 << i;
+    }
+
+    /// Adds every written slot to `stats` under `prefix` + its key.
+    pub fn write_to(&self, stats: &mut Stats, prefix: &str) {
+        for (i, name) in S::NAMES.iter().enumerate() {
+            if self.written & (1 << i) != 0 {
+                stats.add(&format!("{prefix}{name}"), self.values[i]);
+            }
+        }
+    }
+
+    /// The written slots as a report table, keyed without a prefix.
+    #[must_use]
+    pub fn to_stats(&self) -> Stats {
+        let mut stats = Stats::new();
+        self.write_to(&mut stats, "");
+        stats
     }
 }
 
@@ -162,11 +283,53 @@ mod tests {
     fn add_incr_set() {
         let mut stats = Stats::new();
         stats.add("a", 5);
-        stats.incr("a");
+        stats.add("a", 1);
         stats.set("b", 100);
+        stats.set("b", 7);
         assert_eq!(stats.get("a"), 6);
-        assert_eq!(stats.get("b"), 100);
+        assert_eq!(stats.get("b"), 7);
         assert_eq!(stats.len(), 2);
+    }
+
+    crate::counter_slots! {
+        enum Ctr {
+            Hits => "hits",
+            Misses => "misses",
+            Waits => "wait_cycles",
+            Depth => "depth",
+        }
+    }
+
+    #[test]
+    fn counters_report_exactly_the_written_slots() {
+        let mut ctr = Counters::<Ctr>::new();
+        assert!(
+            ctr.to_stats().is_empty(),
+            "an untouched set reports nothing"
+        );
+
+        ctr.incr(Ctr::Hits);
+        ctr.add(Ctr::Hits, 2);
+        // An add of 0 writes the slot: the key is present, with 0.
+        ctr.add(Ctr::Waits, 0);
+        ctr.set(Ctr::Depth, 9);
+        ctr.set(Ctr::Depth, 4);
+        let s = ctr.to_stats();
+        let keys: Vec<(&str, u64)> = s.iter().collect();
+        // `misses` was never written, so it is absent.
+        assert_eq!(keys, [("depth", 4), ("hits", 3), ("wait_cycles", 0)]);
+    }
+
+    #[test]
+    fn counters_write_under_a_prefix_and_sum_into_existing_keys() {
+        let mut ctr = Counters::<Ctr>::new();
+        ctr.add(Ctr::Misses, 5);
+        ctr.add(Ctr::Waits, 0);
+        let mut s = Stats::new();
+        s.add("l2.misses", 1);
+        ctr.write_to(&mut s, "l2.");
+        let keys: Vec<(&str, u64)> = s.iter().collect();
+        assert_eq!(keys, [("l2.misses", 6), ("l2.wait_cycles", 0)]);
     }
 
     #[test]
@@ -186,9 +349,9 @@ mod tests {
     #[test]
     fn iter_is_name_ordered() {
         let mut stats = Stats::new();
-        stats.incr("b");
-        stats.incr("a");
-        stats.incr("c");
+        stats.add("b", 1);
+        stats.add("a", 1);
+        stats.add("c", 1);
         let names: Vec<&str> = stats.iter().map(|(k, _)| k).collect();
         assert_eq!(names, ["a", "b", "c"]);
     }

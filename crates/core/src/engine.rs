@@ -3,7 +3,7 @@
 
 use crate::mapping::macro_ops;
 use crate::stats::StallBreakdown;
-use eve_common::{ConfigError, ConfigResult, Cycle, Stats};
+use eve_common::{counter_slots, ConfigError, ConfigResult, Counters, Cycle, Stats};
 use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
 use eve_isa::{Inst, MemEffect, RegId, Retired, VStride};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
@@ -28,6 +28,29 @@ fn dtu_track(slot: usize) -> &'static str {
 pub const EVE_ARRAYS: u32 = 32;
 /// Extra μop cycles for a mask prologue on `v0.t`-masked instructions.
 const MASK_PROLOGUE: u64 = 2;
+
+counter_slots! {
+    enum Ctr {
+        Issued => "issued",
+        QueueStallCycles => "queue_stall_cycles",
+        Loads => "loads",
+        Stores => "stores",
+        ComputeOps => "compute_ops",
+        UopCycles => "uop_cycles",
+        VruOps => "vru_ops",
+        LineRequests => "vmu.line_requests",
+        SpawnCommitCycle => "spawn_commit_cycle",
+        SpawnCycles => "spawn_cycles",
+        Retires => "retires",
+        ParityCheckCycles => "parity_check_cycles",
+        EccCorrectCycles => "ecc_correct_cycles",
+        EccCorrectedEvents => "ecc_corrected_events",
+        RemapCycles => "remap_cycles",
+        RemappedRows => "remapped_rows",
+        ScrubCycles => "scrub_cycles",
+        ScrubSweeps => "scrub_sweeps",
+    }
+}
 
 /// Tunable engine parameters (defaults match the paper; the ablation
 /// benches sweep them).
@@ -167,7 +190,7 @@ pub struct EveEngine {
     /// Cycles the VMU spent unable to issue to the LLC (Fig 8).
     llc_issue_stall: Cycle,
     tlb: Tlb,
-    stats: Stats,
+    ctr: Counters<Ctr>,
     /// Reused scratch for per-instruction line-request lists, so the
     /// retire hot path allocates nothing.
     line_buf: Vec<u64>,
@@ -229,7 +252,7 @@ impl EveEngine {
             next_scrub: Cycle::ZERO,
             llc_issue_stall: Cycle::ZERO,
             tlb: Tlb::new(),
-            stats: Stats::new(),
+            ctr: Counters::new(),
             line_buf: Vec::new(),
             tracer: None,
         })
@@ -269,8 +292,8 @@ impl EveEngine {
         self.trace_vsu("ecc_correct_stall", "ecc_correct", self.vsu_now, cost);
         self.breakdown.ecc_correct_stall += cost;
         self.vsu_now += cost;
-        self.stats.add("ecc_correct_cycles", cost.0);
-        self.stats.add("ecc_corrected_events", events);
+        self.ctr.add(Ctr::EccCorrectCycles, cost.0);
+        self.ctr.add(Ctr::EccCorrectedEvents, events);
     }
 
     /// Charges `rows` spare-row remaps to the VSU timeline
@@ -285,8 +308,8 @@ impl EveEngine {
         self.trace_vsu("remap_stall", "row_remap", self.vsu_now, cost);
         self.breakdown.remap_stall += cost;
         self.vsu_now += cost;
-        self.stats.add("remap_cycles", cost.0);
-        self.stats.add("remapped_rows", rows);
+        self.ctr.add(Ctr::RemapCycles, cost.0);
+        self.ctr.add(Ctr::RemappedRows, rows);
     }
 
     /// Retires the ephemeral engine: returns the donated L2 ways to
@@ -303,7 +326,7 @@ impl EveEngine {
             return now;
         }
         self.spawned = false;
-        self.stats.incr("retires");
+        self.ctr.incr(Ctr::Retires);
         mem.despawn_vector_mode(now)
     }
 
@@ -321,8 +344,8 @@ impl EveEngine {
             self.trace_vsu("scrub_stall", "scrub_sweep", self.vsu_now, cost);
             self.breakdown.scrub_stall += cost;
             self.vsu_now += cost;
-            self.stats.add("scrub_cycles", cost.0);
-            self.stats.incr("scrub_sweeps");
+            self.ctr.add(Ctr::ScrubCycles, cost.0);
+            self.ctr.incr(Ctr::ScrubSweeps);
             self.next_scrub += interval;
         }
     }
@@ -448,7 +471,7 @@ impl EveEngine {
         let issued = self.tlb.translate(line * LINE_BYTES, t);
         let a = mem.access(Level::Llc, line * LINE_BYTES, store, issued);
         self.llc_issue_stall += a.mshr_wait;
-        self.stats.incr("vmu.line_requests");
+        self.ctr.incr(Ctr::LineRequests);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             let cat = if store { "store" } else { "load" };
@@ -465,7 +488,7 @@ impl EveEngine {
     }
 
     fn handle_load(&mut self, r: &Retired, accept: Cycle, mem: &mut Hierarchy) -> Cycle {
-        self.stats.incr("loads");
+        self.ctr.incr(Ctr::Loads);
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -540,7 +563,7 @@ impl EveEngine {
     }
 
     fn handle_store(&mut self, r: &Retired, accept: Cycle, mem: &mut Hierarchy) -> Cycle {
-        self.stats.incr("stores");
+        self.ctr.incr(Ctr::Stores);
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -608,7 +631,7 @@ impl EveEngine {
     }
 
     fn handle_vru(&mut self, r: &Retired, accept: Cycle) -> Cycle {
-        self.stats.incr("vru_ops");
+        self.ctr.incr(Ctr::VruOps);
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -639,13 +662,13 @@ impl EveEngine {
     }
 
     fn handle_compute(&mut self, r: &Retired, accept: Cycle, ops: &[MacroOpKind]) -> Cycle {
-        self.stats.incr("compute_ops");
+        self.ctr.incr(Ctr::ComputeOps);
         let masked = matches!(r.inst, Inst::VOp { masked: true, .. });
         let mut total = Cycle(if masked { MASK_PROLOGUE } else { 0 });
         for &op in ops {
             total += self.lat.latency(op);
         }
-        self.stats.add("uop_cycles", total.0);
+        self.ctr.add(Ctr::UopCycles, total.0);
         let deps = self.vreg_dep_time(r);
         // §IX exploration: with extra pipes, dispatch onto whichever
         // frees first instead of serializing on the single VSU.
@@ -681,7 +704,7 @@ impl EveEngine {
                 self.trace_vsu("parity_stall", "parity_check", self.vsu_now, check);
                 self.breakdown.parity_stall += check;
                 self.vsu_now += check;
-                self.stats.add("parity_check_cycles", check.0);
+                self.ctr.add(Ctr::ParityCheckCycles, check.0);
             }
         }
         self.busy("uprog", total);
@@ -706,10 +729,10 @@ impl VectorUnit for EveEngine {
         // invalidate the donated ways (§V-E).
         if !self.spawned {
             let done = mem.spawn_vector_mode(commit);
-            self.stats.set("spawn_commit_cycle", commit.0);
+            self.ctr.set(Ctr::SpawnCommitCycle, commit.0);
             // `add`, not `set`: respawns after a retire accumulate.
-            self.stats
-                .add("spawn_cycles", done.saturating_since(commit).0);
+            self.ctr
+                .add(Ctr::SpawnCycles, done.saturating_since(commit).0);
             // The spawn span opens the attributed VSU timeline; the
             // auditor counts it alongside the breakdown buckets.
             self.trace_vsu("spawn", "spawn", commit, done.saturating_since(commit));
@@ -722,15 +745,15 @@ impl VectorUnit for EveEngine {
                 self.next_scrub = done + Cycle(res.scrub_interval_cycles);
             }
         }
-        self.stats.incr("issued");
+        self.ctr.incr(Ctr::Issued);
 
         // VCU queue back-pressure.
         let mut accept = commit;
         while self.queue_done.len() >= self.tuning.queue_depth {
             let oldest = self.queue_done.pop_front().expect("nonempty");
             if oldest > accept {
-                self.stats
-                    .add("queue_stall_cycles", oldest.saturating_since(accept).0);
+                self.ctr
+                    .add(Ctr::QueueStallCycles, oldest.saturating_since(accept).0);
                 accept = oldest;
             }
         }
@@ -790,7 +813,7 @@ impl VectorUnit for EveEngine {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = self.ctr.to_stats();
         s.set("hw_vl", u64::from(self.hw_vl));
         s.set("vmu.llc_issue_stall_cycles", self.llc_issue_stall.0);
         // The attributed VSU timeline's endpoint: spawn + busy + every
@@ -798,9 +821,7 @@ impl VectorUnit for EveEngine {
         s.set("vsu.end_cycles", self.vsu_now.0);
         s.set("exec_pipes", self.tuning.exec_pipes as u64);
         s.merge(&self.breakdown.as_stats());
-        for (k, v) in self.tlb.stats().iter() {
-            s.add(&format!("tlb.{k}"), v);
-        }
+        self.tlb.write_stats(&mut s, "tlb.");
         s
     }
 

@@ -6,7 +6,7 @@
 
 use crate::vector_if::EngineError;
 use crate::CODE_BASE;
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use eve_isa::{Inst, MemEffect, Retired, ScalarOp};
 use eve_mem::{Hierarchy, HierarchyConfig, Level};
 use eve_obs::Tracer;
@@ -22,6 +22,18 @@ const MUL_LATENCY: u64 = 3;
 /// Iterative divide latency.
 const DIV_LATENCY: u64 = 20;
 
+counter_slots! {
+    enum Ctr {
+        Insts => "insts",
+        IcacheStalls => "icache_stalls",
+        LoadStallCycles => "load_stall_cycles",
+        Loads => "loads",
+        StoreStallCycles => "store_stall_cycles",
+        Stores => "stores",
+        TakenBranches => "taken_branches",
+    }
+}
+
 /// The in-order scalar core.
 #[derive(Debug)]
 pub struct IoCore {
@@ -29,7 +41,7 @@ pub struct IoCore {
     now: Cycle,
     store_buf: VecDeque<Cycle>,
     fetch_line: u64,
-    stats: Stats,
+    ctr: Counters<Ctr>,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
@@ -61,7 +73,7 @@ impl IoCore {
             now: Cycle::ZERO,
             store_buf: VecDeque::new(),
             fetch_line: u64::MAX,
-            stats: Stats::new(),
+            ctr: Counters::new(),
             tracer: None,
         }
     }
@@ -86,7 +98,7 @@ impl IoCore {
                 pc: u64::from(r.pc),
             });
         }
-        self.stats.incr("insts");
+        self.ctr.incr(Ctr::Insts);
         // Fetch: charge the I-cache when crossing into a new line.
         let fetch_addr = CODE_BASE + u64::from(r.pc) * 4;
         let line = fetch_addr / eve_mem::LINE_BYTES;
@@ -100,7 +112,7 @@ impl IoCore {
                     tr.span("io", "icache_stall", "icache", self.now.0, stall);
                 }
                 self.now = f.complete;
-                self.stats.incr("icache_stalls");
+                self.ctr.incr(Ctr::IcacheStalls);
             }
         }
         // Issue.
@@ -119,9 +131,9 @@ impl IoCore {
                     tr.span("io", "load_stall", "load", self.now.0, stall.0);
                     tr.record("io.load_stall", stall.0);
                 }
-                self.stats.add("load_stall_cycles", stall.0);
+                self.ctr.add(Ctr::LoadStallCycles, stall.0);
                 self.now = a.complete;
-                self.stats.incr("loads");
+                self.ctr.incr(Ctr::Loads);
             }
             (
                 _,
@@ -151,13 +163,13 @@ impl IoCore {
                         );
                         tr.record("io.store_stall", stall.0);
                     }
-                    self.stats.add("store_stall_cycles", stall.0);
+                    self.ctr.add(Ctr::StoreStallCycles, stall.0);
                     self.now = self.now.max(free_at);
                     self.store_buf.pop_front();
                 }
                 let a = self.mem.access(Level::L1D, *addr, true, self.now);
                 self.store_buf.push_back(a.complete);
-                self.stats.incr("stores");
+                self.ctr.incr(Ctr::Stores);
             }
             (Inst::Op { op, .. } | Inst::OpImm { op, .. }, _) => match op {
                 ScalarOp::Mul => self.now += Cycle(MUL_LATENCY - 1),
@@ -167,7 +179,7 @@ impl IoCore {
             (Inst::Branch { .. } | Inst::Jump { .. }, _) => {
                 if matches!(r.branch, Some((true, _))) {
                     self.now += Cycle(BRANCH_PENALTY);
-                    self.stats.incr("taken_branches");
+                    self.ctr.incr(Ctr::TakenBranches);
                 }
             }
             _ => {}
@@ -188,7 +200,7 @@ impl IoCore {
     /// Core counters merged with the memory hierarchy's.
     #[must_use]
     pub fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = self.ctr.to_stats();
         s.merge(&self.mem.collect_stats());
         s
     }

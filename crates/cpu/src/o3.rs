@@ -17,11 +17,23 @@
 use crate::branch::BranchPredictor;
 use crate::vector_if::{EngineError, NoVector, VectorPlacement, VectorUnit};
 use crate::CODE_BASE;
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use eve_isa::{Inst, MemEffect, RegId, Retired, ScalarOp};
 use eve_mem::{Hierarchy, HierarchyConfig, Level};
 use eve_obs::Tracer;
 use std::collections::VecDeque;
+
+counter_slots! {
+    enum Ctr {
+        Insts => "insts",
+        RobStallCycles => "rob_stall_cycles",
+        VectorInsts => "vector_insts",
+        VectorWritebackStalls => "vector_writeback_stalls",
+        Loads => "loads",
+        Stores => "stores",
+        Mispredicts => "mispredicts",
+    }
+}
 
 /// O3 pipeline parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +76,7 @@ pub struct O3Core<V: VectorUnit = NoVector> {
     fetch_floor: Cycle,
     bp: BranchPredictor,
     end: Cycle,
-    stats: Stats,
+    ctr: Counters<Ctr>,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
@@ -100,7 +112,7 @@ impl<V: VectorUnit> O3Core<V> {
             fetch_floor: Cycle::ZERO,
             bp: BranchPredictor::new(4096),
             end: Cycle::ZERO,
-            stats: Stats::new(),
+            ctr: Counters::new(),
             tracer: None,
         }
     }
@@ -154,8 +166,8 @@ impl<V: VectorUnit> O3Core<V> {
         if self.commit_ring.len() >= self.cfg.window {
             let oldest = self.commit_ring.pop_front().expect("nonempty");
             if oldest > d {
-                self.stats
-                    .add("rob_stall_cycles", oldest.saturating_since(d).0);
+                self.ctr
+                    .add(Ctr::RobStallCycles, oldest.saturating_since(d).0);
                 d = oldest;
                 self.dispatch_cycle = d;
                 self.dispatch_count = 0;
@@ -185,7 +197,7 @@ impl<V: VectorUnit> O3Core<V> {
     /// Propagates [`EngineError`] from the vector unit when a vector
     /// instruction cannot be handled (no unit, no μprogram mapping).
     pub fn retire(&mut self, r: &Retired) -> Result<(), EngineError> {
-        self.stats.incr("insts");
+        self.ctr.incr(Ctr::Insts);
         let d = self.dispatch_slot();
         let ready = self.deps_ready(r, d);
 
@@ -197,7 +209,7 @@ impl<V: VectorUnit> O3Core<V> {
         let mut _redirect_at: Option<Cycle> = None;
 
         if r.inst.is_vector() && !matches!(r.inst, Inst::SetVl { .. }) {
-            self.stats.incr("vector_insts");
+            self.ctr.incr(Ctr::VectorInsts);
             // Vector instructions reach decoupled units at commit time
             // (§V-A); integrated units issue when dependences resolve.
             let commit_est = ready.max(self.last_commit);
@@ -210,7 +222,7 @@ impl<V: VectorUnit> O3Core<V> {
                     commit_floor = accept;
                     if let Some(wb) = writeback {
                         commit_floor = commit_floor.max(wb);
-                        self.stats.incr("vector_writeback_stalls");
+                        self.ctr.incr(Ctr::VectorWritebackStalls);
                     }
                 }
             }
@@ -222,11 +234,11 @@ impl<V: VectorUnit> O3Core<V> {
                         addr, store: false, ..
                     },
                 ) => {
-                    self.stats.incr("loads");
+                    self.ctr.incr(Ctr::Loads);
                     self.mem.access(Level::L1D, *addr, false, ready).complete
                 }
                 (_, MemEffect::Scalar { store: true, .. }) => {
-                    self.stats.incr("stores");
+                    self.ctr.incr(Ctr::Stores);
                     // Stores execute at commit; charged below.
                     ready + Cycle(1)
                 }
@@ -244,7 +256,7 @@ impl<V: VectorUnit> O3Core<V> {
                         };
                         self.bp.update(r.pc, taken);
                         if predicted != taken {
-                            self.stats.incr("mispredicts");
+                            self.ctr.incr(Ctr::Mispredicts);
                             self.fetch_floor = resolve + Cycle(self.cfg.mispredict_penalty);
                             _redirect_at = Some(resolve);
                         }
@@ -316,7 +328,7 @@ impl<V: VectorUnit> O3Core<V> {
     /// Core + hierarchy + vector-unit statistics.
     #[must_use]
     pub fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = self.ctr.to_stats();
         s.merge(&self.mem.collect_stats());
         s.merge(&self.vu.stats());
         s

@@ -2,8 +2,18 @@
 
 use crate::config::CacheConfig;
 use crate::line_of;
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use std::collections::HashMap;
+
+counter_slots! {
+    enum Ctr {
+        Hits => "hits",
+        Misses => "misses",
+        MshrCoalesced => "mshr_coalesced",
+        MshrWaitCycles => "mshr_wait_cycles",
+        Writebacks => "writebacks",
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct TagEntry {
@@ -23,7 +33,7 @@ pub struct LevelOutcome {
     /// Cycles spent waiting for a free MSHR (misses only).
     pub mshr_wait: Cycle,
     /// The MSHR slot this miss claimed; the caller must release it via
-    /// [`Cache::fill`].
+    /// [`Cache::fill_slot`].
     pub mshr_slot: Option<usize>,
 }
 
@@ -43,7 +53,7 @@ pub struct Cache {
     /// Lines currently being filled: line -> fill completion time.
     inflight: HashMap<u64, Cycle>,
     use_clock: u64,
-    stats: Stats,
+    ctr: Counters<Ctr>,
 }
 
 impl Cache {
@@ -64,7 +74,7 @@ impl Cache {
             use_clock: 0,
             sets,
             cfg,
-            stats: Stats::new(),
+            ctr: Counters::new(),
         }
     }
 
@@ -77,8 +87,14 @@ impl Cache {
     /// Accumulated statistics (`hits`, `misses`, `mshr_wait_cycles`,
     /// `writebacks`, ...).
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        self.ctr.to_stats()
+    }
+
+    /// Adds the accumulated statistics to `stats`, each key under
+    /// `prefix`.
+    pub fn write_stats(&self, stats: &mut Stats, prefix: &str) {
+        self.ctr.write_to(stats, prefix);
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -101,7 +117,8 @@ impl Cache {
     /// Looks up `addr` at time `now`. On a hit the line's LRU state and
     /// dirtiness are updated. On a miss an MSHR is claimed (waiting for
     /// a free one if needed); the caller must later call
-    /// [`Cache::fill`] with the downstream completion time.
+    /// [`Cache::fill_slot`] with the claimed slot and the downstream
+    /// completion time.
     ///
     /// A miss to a line already in flight coalesces: reported as a miss
     /// with `ready` equal to the in-flight completion and zero MSHR
@@ -115,7 +132,7 @@ impl Cache {
         if let Some(entry) = self.tags[set].iter_mut().flatten().find(|e| e.line == line) {
             entry.last_used = clock;
             entry.dirty |= store;
-            self.stats.incr("hits");
+            self.ctr.incr(Ctr::Hits);
             // A line whose fill is still in flight cannot deliver until
             // the fill lands.
             let pending = self.inflight.get(&line).copied().unwrap_or(Cycle::ZERO);
@@ -126,7 +143,7 @@ impl Cache {
                 mshr_slot: None,
             };
         }
-        self.stats.incr("misses");
+        self.ctr.incr(Ctr::Misses);
         let lookup_done = start + Cycle(self.cfg.hit_latency);
         if let Some(&fill_done) = self.inflight.get(&line) {
             if fill_done > lookup_done {
@@ -134,7 +151,7 @@ impl Cache {
                 // Reported as a hit — this level supplies the data
                 // when the outstanding fill lands, and the request
                 // must not propagate downstream again.
-                self.stats.incr("mshr_coalesced");
+                self.ctr.incr(Ctr::MshrCoalesced);
                 return LevelOutcome {
                     hit: true,
                     ready: fill_done,
@@ -146,7 +163,7 @@ impl Cache {
             // been evicted): this is a fresh miss.
             self.inflight.remove(&line);
         }
-        // Claim the earliest-free MSHR; it stays held until `fill`
+        // Claim the earliest-free MSHR; it stays held until `fill_slot`
         // releases it at the downstream completion time.
         let (slot, &free_at) = self
             .mshrs
@@ -156,7 +173,7 @@ impl Cache {
             .expect("mshrs nonzero");
         let issue = lookup_done.max(free_at);
         let wait = issue.saturating_since(lookup_done);
-        self.stats.add("mshr_wait_cycles", wait.0);
+        self.ctr.add(Ctr::MshrWaitCycles, wait.0);
         self.mshrs[slot] = Cycle(u64::MAX); // held until fill
         LevelOutcome {
             hit: false,
@@ -174,35 +191,21 @@ impl Cache {
         self.mshrs.iter().all(|&c| c > now)
     }
 
-    /// Completes a miss: installs `addr`'s line, releases the claimed
-    /// MSHR slot at `fill_done`, and returns the evicted dirty line
-    /// (if any) that must be written back downstream.
-    pub fn fill(&mut self, addr: u64, store: bool, fill_done: Cycle) -> Option<u64> {
-        self.fill_slot(addr, store, fill_done, None)
-    }
-
-    /// Like [`Cache::fill`], releasing the specific slot claimed by the
-    /// matching [`Cache::lookup`].
+    /// Completes a miss: installs `addr`'s line, releases the MSHR
+    /// `slot` its [`Cache::lookup`] claimed at `fill_done`, and returns
+    /// the evicted dirty line (if any) that must be written back
+    /// downstream.
     pub fn fill_slot(
         &mut self,
         addr: u64,
         store: bool,
         fill_done: Cycle,
-        slot: Option<usize>,
+        slot: usize,
     ) -> Option<u64> {
         let line = line_of(addr);
         let set = self.set_of(line);
         self.inflight.insert(line, fill_done);
-        match slot {
-            Some(s) => self.mshrs[s] = fill_done,
-            None => {
-                // No slot tracked (caller used the simple API):
-                // release the longest-held slot.
-                if let Some(s) = self.mshrs.iter_mut().max_by_key(|c| **c) {
-                    *s = fill_done;
-                }
-            }
-        }
+        self.mshrs[slot] = fill_done;
         self.use_clock += 1;
         let clock = self.use_clock;
         // Install: prefer an invalid way, else evict true-LRU.
@@ -223,15 +226,9 @@ impl Cache {
             last_used: clock,
         });
         if evicted.is_some() {
-            self.stats.incr("writebacks");
+            self.ctr.incr(Ctr::Writebacks);
         }
         evicted
-    }
-
-    /// Drops completed in-flight records older than `now` (periodic
-    /// housekeeping so the map stays small).
-    pub fn retire_inflight(&mut self, now: Cycle) {
-        self.inflight.retain(|_, &mut done| done > now);
     }
 
     /// Invalidates every line, returning `(clean, dirty)` line counts —
@@ -279,12 +276,24 @@ mod tests {
         })
     }
 
+    /// Looks `addr` up at `now` and, on a miss, fills it at `done`
+    /// through the slot the miss claimed.
+    fn miss_fill(c: &mut Cache, addr: u64, store: bool, now: Cycle, done: Cycle) -> Option<u64> {
+        let out = c.lookup(addr, store, now);
+        c.fill_slot(
+            addr,
+            store,
+            done,
+            out.mshr_slot.expect("a miss claims an MSHR"),
+        )
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = small();
         let m = c.lookup(0x1000, false, Cycle(0));
         assert!(!m.hit);
-        c.fill(0x1000, false, Cycle(50));
+        c.fill_slot(0x1000, false, Cycle(50), m.mshr_slot.unwrap());
         let h = c.lookup(0x1008, false, Cycle(60));
         assert!(h.hit);
         assert_eq!(h.ready, Cycle(62));
@@ -298,8 +307,13 @@ mod tests {
         // 4 sets; lines 0, 4, 8 map to set 0 (line % 4).
         for (i, line) in [0u64, 4, 8].iter().enumerate() {
             let addr = line * 64;
-            c.lookup(addr, false, Cycle(i as u64 * 10));
-            c.fill(addr, false, Cycle(i as u64 * 10 + 5));
+            miss_fill(
+                &mut c,
+                addr,
+                false,
+                Cycle(i as u64 * 10),
+                Cycle(i as u64 * 10 + 5),
+            );
         }
         // Line 0 (oldest) must be gone; 4 and 8 resident.
         assert!(!c.lookup(0, false, Cycle(100)).hit);
@@ -310,12 +324,9 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut c = small();
-        c.lookup(0, true, Cycle(0));
-        c.fill(0, true, Cycle(5));
-        c.lookup(4 * 64, false, Cycle(10));
-        c.fill(4 * 64, false, Cycle(15));
-        c.lookup(8 * 64, false, Cycle(20));
-        let evicted = c.fill(8 * 64, false, Cycle(25));
+        miss_fill(&mut c, 0, true, Cycle(0), Cycle(5));
+        miss_fill(&mut c, 4 * 64, false, Cycle(10), Cycle(15));
+        let evicted = miss_fill(&mut c, 8 * 64, false, Cycle(20), Cycle(25));
         assert_eq!(evicted, Some(0));
         assert_eq!(c.stats().get("writebacks"), 1);
     }
@@ -325,9 +336,9 @@ mod tests {
         let mut c = small();
         // Two MSHRs: the third simultaneous miss must wait.
         let a = c.lookup(0, false, Cycle(0));
-        c.fill(0, false, Cycle(100));
+        c.fill_slot(0, false, Cycle(100), a.mshr_slot.unwrap());
         let b = c.lookup(64, false, Cycle(0));
-        c.fill(64, false, Cycle(100));
+        c.fill_slot(64, false, Cycle(100), b.mshr_slot.unwrap());
         let third = c.lookup(128, false, Cycle(0));
         assert!(third.mshr_wait > Cycle::ZERO, "{third:?}");
         assert!(a.mshr_wait == Cycle::ZERO && b.mshr_wait == Cycle::ZERO);
@@ -337,16 +348,13 @@ mod tests {
     #[test]
     fn second_access_to_inflight_line_waits_for_fill() {
         let mut c = small();
-        c.lookup(0x40, false, Cycle(0));
-        c.fill(0x40, false, Cycle(80));
+        miss_fill(&mut c, 0x40, false, Cycle(0), Cycle(80));
         // The line is tagged but its fill lands at 80: an access at
         // t=1 "hits" yet cannot complete before the data arrives.
         let co = c.lookup(0x48, false, Cycle(1));
         assert!(co.hit);
         assert_eq!(co.ready, Cycle(80));
         assert_eq!(co.mshr_wait, Cycle::ZERO);
-        // After housekeeping past the fill, hits are fast again.
-        c.retire_inflight(Cycle(100));
         let h = c.lookup(0x40, false, Cycle(200));
         assert_eq!(h.ready, Cycle(202));
     }
@@ -354,10 +362,8 @@ mod tests {
     #[test]
     fn bank_conflicts_serialize() {
         let mut c = small();
-        c.lookup(0, false, Cycle(0));
-        c.fill(0, false, Cycle(2));
-        c.lookup(4 * 64, false, Cycle(10));
-        c.fill(4 * 64, false, Cycle(12));
+        miss_fill(&mut c, 0, false, Cycle(0), Cycle(2));
+        miss_fill(&mut c, 4 * 64, false, Cycle(10), Cycle(12));
         // Two hits in the same cycle to the single bank: second starts
         // a cycle later.
         let h1 = c.lookup(0, false, Cycle(20));
@@ -369,10 +375,8 @@ mod tests {
     #[test]
     fn invalidate_counts_clean_and_dirty() {
         let mut c = small();
-        c.lookup(0, true, Cycle(0));
-        c.fill(0, true, Cycle(2));
-        c.lookup(64, false, Cycle(5));
-        c.fill(64, false, Cycle(7));
+        miss_fill(&mut c, 0, true, Cycle(0), Cycle(2));
+        miss_fill(&mut c, 64, false, Cycle(5), Cycle(7));
         assert_eq!(c.resident_lines(), 2);
         let (clean, dirty) = c.invalidate_all();
         assert_eq!((clean, dirty), (1, 1));

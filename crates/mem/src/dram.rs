@@ -1,7 +1,15 @@
 //! Single-channel DRAM latency/bandwidth model.
 
 use crate::config::DramConfig;
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
+
+counter_slots! {
+    enum Ctr {
+        Accesses => "accesses",
+        QueueCycles => "queue_cycles",
+        Writebacks => "writebacks",
+    }
+}
 
 /// A DDR4-like memory channel: fixed access latency plus a channel
 /// occupancy per line that bounds sustained bandwidth.
@@ -20,7 +28,7 @@ use eve_common::{Cycle, Stats};
 pub struct Dram {
     cfg: DramConfig,
     channel_free: Cycle,
-    stats: Stats,
+    ctr: Counters<Ctr>,
 }
 
 impl Dram {
@@ -30,7 +38,7 @@ impl Dram {
         Self {
             cfg,
             channel_free: Cycle::ZERO,
-            stats: Stats::new(),
+            ctr: Counters::new(),
         }
     }
 
@@ -39,9 +47,9 @@ impl Dram {
     pub fn access(&mut self, now: Cycle) -> Cycle {
         let start = now.max(self.channel_free);
         self.channel_free = start + Cycle(self.cfg.cycles_per_line);
-        self.stats.incr("accesses");
-        self.stats
-            .add("queue_cycles", start.saturating_since(now).0);
+        self.ctr.incr(Ctr::Accesses);
+        self.ctr
+            .add(Ctr::QueueCycles, start.saturating_since(now).0);
         start + Cycle(self.cfg.latency)
     }
 
@@ -50,13 +58,19 @@ impl Dram {
     pub fn writeback(&mut self, now: Cycle) {
         let start = now.max(self.channel_free);
         self.channel_free = start + Cycle(self.cfg.cycles_per_line);
-        self.stats.incr("writebacks");
+        self.ctr.incr(Ctr::Writebacks);
     }
 
     /// Accumulated statistics.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        self.ctr.to_stats()
+    }
+
+    /// Adds the accumulated statistics to `stats`, each key under
+    /// `prefix`.
+    pub fn write_stats(&self, stats: &mut Stats, prefix: &str) {
+        self.ctr.write_to(stats, prefix);
     }
 }
 

@@ -3,8 +3,15 @@
 use crate::cache::Cache;
 use crate::config::{CacheConfig, HierarchyConfig};
 use crate::shared::SharedLlc;
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use eve_obs::Tracer;
+
+counter_slots! {
+    enum Ctr {
+        Accesses => "accesses",
+        L2ReconfigLines => "l2_reconfig_lines",
+    }
+}
 
 /// Where a request enters (or is satisfied in) the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +64,7 @@ pub struct Hierarchy {
     l1d: Cache,
     l2: Cache,
     shared: SharedLlc,
-    stats: Stats,
+    ctr: Counters<Ctr>,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
@@ -80,7 +87,7 @@ impl Hierarchy {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             shared,
-            stats: Stats::new(),
+            ctr: Counters::new(),
             tracer: None,
         }
     }
@@ -100,7 +107,7 @@ impl Hierarchy {
     /// Performs one access entering at `entry` for byte address `addr`
     /// at time `now`.
     pub fn access(&mut self, entry: Level, addr: u64, store: bool, now: Cycle) -> Access {
-        self.stats.incr("accesses");
+        self.ctr.incr(Ctr::Accesses);
         let mut wait = Cycle::ZERO;
         let levels: &[Level] = match entry {
             Level::L1I => &[Level::L1I, Level::L2],
@@ -109,7 +116,10 @@ impl Hierarchy {
             Level::Llc | Level::Dram => &[],
         };
         let mut t = now;
-        let mut missed: Vec<(Level, Option<usize>)> = Vec::new();
+        // The private levels that missed, with the MSHR each claimed:
+        // at most the two of `levels`.
+        let mut missed = [(Level::L2, 0); 2];
+        let mut misses = 0;
         let mut hit_level = Level::Dram;
         let mut found = false;
         for &lv in levels {
@@ -121,7 +131,8 @@ impl Hierarchy {
                 found = true;
                 break;
             }
-            missed.push((lv, out.mshr_slot));
+            missed[misses] = (lv, out.mshr_slot.expect("a miss claims an MSHR"));
+            misses += 1;
         }
         if !found {
             let a = self.shared.access(addr, store, t);
@@ -132,7 +143,7 @@ impl Hierarchy {
         // Fill the missed private levels top-down, releasing each
         // level's MSHR at the fill time; dirty evictions charge
         // downstream bandwidth.
-        for &(lv, slot) in missed.iter().rev() {
+        for &(lv, slot) in missed[..misses].iter().rev() {
             let evicted = self.cache_mut(lv).fill_slot(addr, store, t, slot);
             if let Some(line) = evicted {
                 self.writeback_below(lv, line * crate::LINE_BYTES, t);
@@ -160,10 +171,10 @@ impl Hierarchy {
         match from {
             Level::L1I | Level::L1D => {
                 let out = self.l2.lookup(addr, true, now);
-                if !out.hit {
-                    // Allocate-on-writeback.
+                // Allocate-on-writeback.
+                if let Some(slot) = out.mshr_slot {
                     let t = out.ready;
-                    if let Some(l2evict) = self.l2.fill_slot(addr, true, t, out.mshr_slot) {
+                    if let Some(l2evict) = self.l2.fill_slot(addr, true, t, slot) {
                         self.writeback_below(Level::L2, l2evict * crate::LINE_BYTES, t);
                     }
                 }
@@ -222,7 +233,7 @@ impl Hierarchy {
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
         self.l2 = Cache::new(CacheConfig::l2_vector_mode());
-        self.stats.add("l2_reconfig_lines", clean + dirty);
+        self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
@@ -258,7 +269,7 @@ impl Hierarchy {
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
         self.l2 = Cache::new(CacheConfig::l2_with_ways(ways));
-        self.stats.add("l2_reconfig_lines", clean + dirty);
+        self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
@@ -275,18 +286,13 @@ impl Hierarchy {
     /// Collects all statistics under dotted prefixes.
     #[must_use]
     pub fn collect_stats(&self) -> Stats {
-        let mut s = Stats::new();
-        for (lv, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
-            for (k, v) in c.stats().iter() {
-                s.add(&format!("{lv}.{k}"), v);
-            }
-        }
+        let mut s = self.ctr.to_stats();
+        self.l1i.write_stats(&mut s, "l1i.");
+        self.l1d.write_stats(&mut s, "l1d.");
+        self.l2.write_stats(&mut s, "l2.");
         // In a CMP the shared counters appear in every core's roll-up;
         // aggregate reporting must de-duplicate by reading one core.
         s.merge(&self.shared.collect_stats());
-        for (k, v) in self.stats.iter() {
-            s.add(k, v);
-        }
         s
     }
 }

@@ -30,9 +30,9 @@ impl LlcDram {
                 mshr_wait: out.mshr_wait,
             };
         }
+        let slot = out.mshr_slot.expect("a miss claims an MSHR");
         let done = self.dram.access(out.ready);
-        if let Some(evicted) = self.llc.fill_slot(addr, store, done, out.mshr_slot) {
-            let _ = evicted;
+        if self.llc.fill_slot(addr, store, done, slot).is_some() {
             self.dram.writeback(done);
         }
         Access {
@@ -46,13 +46,10 @@ impl LlcDram {
         // A dirty line arriving from a private L2: allocate in the LLC,
         // charging banks/DRAM bandwidth but nobody's latency.
         let out = self.llc.lookup(addr, true, now);
-        if !out.hit
-            && self
-                .llc
-                .fill_slot(addr, true, out.ready, out.mshr_slot)
-                .is_some()
-        {
-            self.dram.writeback(out.ready);
+        if let Some(slot) = out.mshr_slot {
+            if self.llc.fill_slot(addr, true, out.ready, slot).is_some() {
+                self.dram.writeback(out.ready);
+            }
         }
     }
 }
@@ -127,12 +124,8 @@ impl SharedLlc {
     pub fn collect_stats(&self) -> Stats {
         let inner = self.inner.borrow();
         let mut s = Stats::new();
-        for (k, v) in inner.llc.stats().iter() {
-            s.add(&format!("llc.{k}"), v);
-        }
-        for (k, v) in inner.dram.stats().iter() {
-            s.add(&format!("dram.{k}"), v);
-        }
+        inner.llc.write_stats(&mut s, "llc.");
+        inner.dram.write_stats(&mut s, "dram.");
         s
     }
 

@@ -7,7 +7,13 @@
 //! model matches that: a fixed one-cycle charge, with hit/translation
 //! counters kept for reporting.
 
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
+
+counter_slots! {
+    enum Ctr {
+        Translations => "translations",
+    }
+}
 
 /// A TLB port with the paper's always-hit, one-cycle behaviour.
 ///
@@ -21,7 +27,7 @@ use eve_common::{Cycle, Stats};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Tlb {
-    stats: Stats,
+    ctr: Counters<Ctr>,
 }
 
 impl Tlb {
@@ -33,14 +39,20 @@ impl Tlb {
 
     /// Translates `addr` at `now`: one cycle, always a hit.
     pub fn translate(&mut self, _addr: u64, now: Cycle) -> Cycle {
-        self.stats.incr("translations");
+        self.ctr.incr(Ctr::Translations);
         now + Cycle(1)
     }
 
     /// Accumulated statistics.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        self.ctr.to_stats()
+    }
+
+    /// Adds the accumulated statistics to `stats`, each key under
+    /// `prefix`.
+    pub fn write_stats(&self, stats: &mut Stats, prefix: &str) {
+        self.ctr.write_to(stats, prefix);
     }
 }
 

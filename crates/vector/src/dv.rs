@@ -8,7 +8,7 @@
 //! private L2 (§VII-A).
 
 use crate::pipes::{classify_pipe, element_cost, PipeClass};
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
 use eve_isa::{Inst, MemEffect, RegId, Retired};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
@@ -23,6 +23,15 @@ const QUEUE_DEPTH: usize = 16;
 /// Pipe startup latency (decode + operand fetch across the lanes).
 const STARTUP: u64 = 4;
 
+counter_slots! {
+    enum Ctr {
+        Issued => "issued",
+        QueueStallCycles => "queue_stall_cycles",
+        LineRequests => "line_requests",
+        VmuMshrWait => "vmu_mshr_wait",
+    }
+}
+
 /// The decoupled vector engine.
 #[derive(Debug, Default)]
 pub struct DecoupledVector {
@@ -34,7 +43,7 @@ pub struct DecoupledVector {
     pending_store_done: Cycle,
     idle_at: Cycle,
     tlb: Tlb,
-    stats: Stats,
+    ctr: Counters<Ctr>,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
@@ -113,15 +122,15 @@ impl VectorUnit for DecoupledVector {
         commit: Cycle,
         mem: &mut Hierarchy,
     ) -> Result<VectorPlacement, EngineError> {
-        self.stats.incr("issued");
+        self.ctr.incr(Ctr::Issued);
         // Queue back-pressure: a full queue delays acceptance until the
         // oldest instruction completes.
         let mut accept = commit;
         while self.queue_done.len() >= QUEUE_DEPTH {
             let oldest = self.queue_done.pop_front().expect("nonempty");
             if oldest > accept {
-                self.stats
-                    .add("queue_stall_cycles", oldest.saturating_since(accept).0);
+                self.ctr
+                    .add(Ctr::QueueStallCycles, oldest.saturating_since(accept).0);
                 accept = oldest;
             }
         }
@@ -150,14 +159,14 @@ impl VectorUnit for DecoupledVector {
             PipeClass::Memory => {
                 let store = r.mem.is_store();
                 let lines = Self::line_requests(&r.mem);
-                self.stats.add("line_requests", lines.len() as u64);
+                self.ctr.add(Ctr::LineRequests, lines.len() as u64);
                 let mut done = start + Cycle(STARTUP);
                 let mut t = start;
                 for line in lines {
                     // One request generated + translated per cycle.
                     t = self.tlb.translate(line * LINE_BYTES, t);
                     let a = mem.access(Level::L2, line * LINE_BYTES, store, t);
-                    self.stats.add("vmu_mshr_wait", a.mshr_wait.0);
+                    self.ctr.add(Ctr::VmuMshrWait, a.mshr_wait.0);
                     done = done.max(a.complete);
                 }
                 self.pipes[pipe] = t;
@@ -201,11 +210,9 @@ impl VectorUnit for DecoupledVector {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = self.ctr.to_stats();
         s.set("hw_vl", u64::from(DV_HW_VL));
-        for (k, v) in self.tlb.stats().iter() {
-            s.add(&format!("tlb.{k}"), v);
-        }
+        self.tlb.write_stats(&mut s, "tlb.");
         s
     }
 

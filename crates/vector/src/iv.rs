@@ -9,7 +9,7 @@
 //! scalar loads/stores by the load-store queue").
 
 use crate::pipes::{classify_pipe, element_cost, PipeClass};
-use eve_common::{Cycle, Stats};
+use eve_common::{counter_slots, Counters, Cycle, Stats};
 use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
 use eve_isa::{Inst, MemEffect, Retired};
 use eve_mem::{Hierarchy, Level};
@@ -17,13 +17,20 @@ use eve_mem::{Hierarchy, Level};
 /// Hardware vector length (elements) — conventional SIMD width.
 pub const IV_HW_VL: u32 = 4;
 
+counter_slots! {
+    enum Ctr {
+        Issued => "issued",
+        LsqUops => "lsq_uops",
+    }
+}
+
 /// The integrated vector unit.
 #[derive(Debug, Default)]
 pub struct IntegratedVector {
     arith_pipes: [Cycle; 2],
     mem_pipe: Cycle,
     pending_store_done: Cycle,
-    stats: Stats,
+    ctr: Counters<Ctr>,
 }
 
 impl IntegratedVector {
@@ -76,7 +83,7 @@ impl VectorUnit for IntegratedVector {
         mem: &mut Hierarchy,
     ) -> Result<VectorPlacement, EngineError> {
         let class = classify_pipe(&r.inst).unwrap_or(PipeClass::Simple);
-        self.stats.incr("issued");
+        self.ctr.incr(Ctr::Issued);
         let completion = match class {
             PipeClass::Memory if matches!(r.inst, Inst::VMFence) => {
                 // Shares the LSQ: fence waits for pending stores.
@@ -86,7 +93,7 @@ impl VectorUnit for IntegratedVector {
                 // Decompose into per-element scalar LSQ operations.
                 let store = r.mem.is_store();
                 let addrs = Self::element_addrs(&r.mem);
-                self.stats.add("lsq_uops", addrs.len() as u64);
+                self.ctr.add(Ctr::LsqUops, addrs.len() as u64);
                 let mut done = ready;
                 let mut t = ready;
                 for addr in addrs {
@@ -121,7 +128,7 @@ impl VectorUnit for IntegratedVector {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = self.ctr.to_stats();
         s.set("hw_vl", u64::from(IV_HW_VL));
         s
     }
