@@ -186,6 +186,13 @@ def net():
         "cluster_campaign",
         "--workloads", "2", "--shards", "2,4", "--shapes", "bursty,partition", "--net", "0,5",
     )
+    # The elastic controller under the transport: its dwell ends and
+    # thrash window bound which liveness events may skip the passes.
+    cmp(
+        "cluster_campaign",
+        "--workloads", "2", "--shards", "2,4", "--shapes", "phased,partition", "--elastic",
+        "--net", "0,5",
+    )
 
 
 def results():

@@ -118,7 +118,7 @@ pub struct BreakerStats {
 }
 
 /// The per-engine breaker state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
     policy: BreakerPolicy,
     state: BreakerState,
@@ -252,6 +252,13 @@ impl CircuitBreaker {
     pub fn cooldown(&self) -> u64 {
         self.current_cooldown
     }
+
+    /// While open, the cycle from which [`CircuitBreaker::state_at`]
+    /// reads half-open; `None` in the other states.
+    #[must_use]
+    pub fn reopens_at(&self) -> Option<u64> {
+        (self.state == BreakerState::Open).then_some(self.opened_at + self.current_cooldown)
+    }
 }
 
 #[cfg(test)]
@@ -347,13 +354,17 @@ mod tests {
     #[test]
     fn failed_probe_escalates_cooldown_up_to_cap() {
         let mut b = breaker(1);
+        assert_eq!(b.reopens_at(), None, "closed");
         b.on_failure(0);
         assert_eq!(b.cooldown(), 100);
+        assert_eq!(b.reopens_at(), Some(100));
         // Probe at 100 fails: cooldown doubles.
         assert!(b.allows(100));
+        assert_eq!(b.reopens_at(), None, "half-open");
         b.on_dispatch(100);
         b.on_failure(100);
         assert_eq!(b.cooldown(), 200);
+        assert_eq!(b.reopens_at(), Some(300));
         assert!(!b.allows(250), "still open: escalated cooldown");
         assert!(b.allows(300));
         b.on_dispatch(300);

@@ -220,7 +220,8 @@ impl From<crate::router::RouteError> for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Heap events, processed in `(at, seq)` order.
+/// Calendar events, processed in `(at, seq)` order. Arrivals are read
+/// from the request vector; every other event sits on the heap.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Storm event `idx` fires.
@@ -311,6 +312,7 @@ enum EngineMode {
 }
 
 /// One engine's simulated state.
+#[derive(Clone, PartialEq)]
 struct Engine {
     breaker: CircuitBreaker,
     mode: EngineMode,
@@ -340,6 +342,7 @@ impl Engine {
 }
 
 /// One shard: a pool of engines plus its tenant queues.
+#[derive(Clone, PartialEq)]
 struct Shard {
     engines: Vec<Engine>,
     queues: TenantQueues,
@@ -445,12 +448,23 @@ pub struct ClusterSim {
     heap: BinaryHeap<Entry>,
     seq: u64,
     requests: Vec<Request>,
+    /// The next request to arrive. Arrivals stay off the heap: request
+    /// `i` holds sequence number `arrival_seq + i`, and
+    /// [`ClusterSim::next_event`] merges it with the heap by `(at, seq)`.
+    next_arrival: usize,
+    arrival_seq: u64,
     net: Option<NetState>,
     shards: Vec<Shard>,
     storm: Vec<StormEvent>,
     batches: Vec<BatchRec>,
     fallback_free_at: u64,
     now: u64,
+    /// With the transport on, the cycle of the last pass-run if it
+    /// changed nothing (see [`ClusterSim::handle`]).
+    quiet_since: Option<u64>,
+    /// While `quiet_since` is set: the earliest cycle after it at which
+    /// a pass input can change with time alone.
+    quiet_until: u64,
 
     tenant_names: Vec<String>,
     tenant_weights: Vec<u32>,
@@ -640,13 +654,9 @@ impl ClusterSim {
                 completed_at: None,
                 corrupted: false,
             });
-            heap.push(Entry {
-                at: a.at,
-                seq,
-                ev: Ev::Arrival(i),
-            });
-            seq += 1;
         }
+        let arrival_seq = seq;
+        seq += requests.len() as u64;
         let weights: Vec<u32> = traffic.tenants.iter().map(|t| t.weight).collect();
         let quantum = profile.mean_eve_cycles();
         let shards = (0..cfg.shards)
@@ -740,12 +750,16 @@ impl ClusterSim {
             heap,
             seq,
             requests,
+            next_arrival: 0,
+            arrival_seq,
             net,
             shards,
             storm: storm.events,
             batches: Vec::new(),
             fallback_free_at: 0,
             now: 0,
+            quiet_since: None,
+            quiet_until: 0,
             admitted: 0,
             shed_capacity: 0,
             shed_infeasible: 0,
@@ -804,6 +818,25 @@ impl ClusterSim {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { at, seq, ev });
+    }
+
+    /// Takes the next calendar event: the heap's top or the next
+    /// arrival, whichever comes first by `(at, seq)`.
+    fn next_event(&mut self) -> Option<(u64, Ev)> {
+        let arrival = self
+            .requests
+            .get(self.next_arrival)
+            .map(|r| (r.arrival, self.arrival_seq + self.next_arrival as u64));
+        let heap_first = self
+            .heap
+            .peek()
+            .is_some_and(|top| arrival.is_none_or(|a| (top.at, top.seq) < a));
+        if heap_first {
+            return self.heap.pop().map(|e| (e.at, e.ev));
+        }
+        let (at, _) = arrival?;
+        self.next_arrival += 1;
+        Some((at, Ev::Arrival(self.next_arrival - 1)))
     }
 
     fn instant(&self, cat: &'static str, name: &'static str, at: u64) {
@@ -932,7 +965,7 @@ impl ClusterSim {
     #[must_use]
     pub fn run(mut self) -> ClusterReport {
         loop {
-            while let Some(Entry { at, ev, .. }) = self.heap.pop() {
+            while let Some((at, ev)) = self.next_event() {
                 debug_assert!(at >= self.now, "time runs forward");
                 self.now = at;
                 self.handle(ev);
@@ -960,7 +993,23 @@ impl ClusterSim {
         self.report()
     }
 
+    /// Handles one event, then runs the four passes: the ladder, the
+    /// elastic controller, work stealing and the pump.
+    ///
+    /// The passes are not idempotent (a steal can leave the thief idle
+    /// with an empty queue, and the next run steals again), so a
+    /// pass-run that changed nothing is a fixed point only until a pass
+    /// input changes. Liveness events (heartbeat ticks, heartbeats and
+    /// acks) touch only links, the calendar and the detector's ack
+    /// clocks, which only move suspicion later. So after one of them
+    /// the passes are skipped while the last pass-run changed nothing
+    /// and no input has changed with time alone ([`ClusterSim::wake_after`]).
+    /// An ack that clears a suspicion changes availability and ends the
+    /// quiet.
     fn handle(&mut self, ev: Ev) {
+        let liveness = matches!(ev, Ev::HbTick(_) | Ev::DeliverHb(_) | Ev::DeliverAck(_));
+        #[cfg(debug_assertions)]
+        let inputs = (liveness && self.quiet_since.is_some()).then(|| self.pass_inputs());
         match ev {
             Ev::Storm(i) => self.on_storm(i),
             Ev::Arrival(r) => self.on_arrival(r),
@@ -981,13 +1030,95 @@ impl ClusterSim {
             Ev::HedgeFire(r, seq) => self.on_hedge_fire(r, seq),
             Ev::HbTick(s) => self.on_hb_tick(s),
         }
+        if liveness && self.quiet_since.is_some() && self.now < self.quiet_until {
+            #[cfg(debug_assertions)]
+            {
+                let since = self.quiet_since.unwrap_or_default();
+                assert!(
+                    self.now < self.wake_after(since),
+                    "a pass input changed with time since the quiet pass-run at {since}"
+                );
+                assert!(
+                    inputs == Some(self.pass_inputs()),
+                    "a liveness handler changed a pass input"
+                );
+            }
+            return;
+        }
         // Every state change re-evaluates pressure, lets the elastic
         // controller repartition, lets idle shards steal, and pumps
         // whatever became placeable.
+        let marks = self.pass_marks();
         let avail = self.evaluate_ladder();
         self.evaluate_elastic();
         self.steal_pass();
         self.pump_all(&avail);
+        if marks.is_some() && marks == self.pass_marks() {
+            self.quiet_since = Some(self.now);
+            self.quiet_until = self.wake_after(self.now);
+        } else {
+            self.quiet_since = None;
+        }
+    }
+
+    /// Counts that move whenever a pass acts: dispatches, steals,
+    /// fail-overs and stale drops, ladder and elastic events, new
+    /// suspicions, and the requests queued. `None` with the transport
+    /// off, where no liveness event could use them.
+    fn pass_marks(&self) -> Option<[u64; 8]> {
+        let net = self.net.as_ref()?;
+        Some([
+            self.dispatches,
+            self.steals,
+            self.failovers,
+            net.counters.stale_drops,
+            self.ladder.events().len() as u64,
+            self.elastic.events().len() as u64,
+            net.detector.suspicions(),
+            self.shards.iter().map(|s| s.queues.len() as u64).sum(),
+        ])
+    }
+
+    /// The earliest cycle after `t0` at which a pass input can change
+    /// with time alone: the ladder's dwell end or failure-window
+    /// boundary, the elastic controller's dwell ends and thrash-window
+    /// boundary, each unsuspected link's detector deadline, each open
+    /// breaker's reopening, and each brownout's end (a spawn target
+    /// must not be [`Engine::faulty_at`]).
+    fn wake_after(&self, t0: u64) -> u64 {
+        let engines = self.shards.iter().flat_map(|s| &s.engines);
+        engines
+            .flat_map(|e| [e.breaker.reopens_at(), Some(e.brown_until)])
+            .chain([
+                Some(self.ladder.wake_after(t0)),
+                self.cfg
+                    .elastic
+                    .enabled
+                    .then(|| self.elastic.wake_after(t0)),
+                self.net.as_ref().and_then(|n| n.detector.next_suspicion()),
+            ])
+            .flatten()
+            .filter(|&t| t > t0)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Everything the passes read, for the debug re-check of a skipped
+    /// pass-run: the shards' queues and engines, the ladder, the
+    /// elastic controller and which links are suspected.
+    #[cfg(debug_assertions)]
+    fn pass_inputs(&self) -> (Vec<Shard>, Ladder, ElasticController, Vec<bool>) {
+        let suspected = self.net.as_ref().map_or_else(Vec::new, |n| {
+            (0..self.cfg.shards)
+                .map(|s| n.detector.suspected(s))
+                .collect()
+        });
+        (
+            self.shards.clone(),
+            self.ladder.clone(),
+            self.elastic.clone(),
+            suspected,
+        )
     }
 
     fn on_storm(&mut self, i: usize) {
@@ -1699,14 +1830,17 @@ impl ClusterSim {
     // byte.
 
     /// Transmits one message over `shard`'s link, returning the
-    /// scheduled delivery cycles (empty = every copy was lost).
-    fn net_transmit(&mut self, shard: usize, class: MsgClass) -> Vec<u64> {
+    /// scheduled delivery cycles of the copies that survive.
+    fn net_transmit(&mut self, shard: usize, class: MsgClass) -> impl Iterator<Item = u64> {
         let now = self.now;
-        let Some(net) = &mut self.net else {
-            return Vec::new();
+        let copies = match &mut self.net {
+            Some(net) => {
+                let policy = net.policy;
+                net.links[shard].transmit(now, class, &policy)
+            }
+            None => [None; 2],
         };
-        let policy = net.policy;
-        net.links[shard].transmit(now, class, &policy)
+        copies.into_iter().flatten()
     }
 
     /// Opens request `r` on the transport: first transmission toward
@@ -2015,8 +2149,12 @@ impl ClusterSim {
             net.links[s].on_delivered(MsgClass::Ack);
             net.detector.on_ack(now, s).is_some()
         };
-        if recovered && s < SHARD_CATS.len() {
-            self.instant(SHARD_CATS[s], "suspect_clear", now);
+        if recovered {
+            // The shard is routable again: a pass input changed.
+            self.quiet_since = None;
+            if s < SHARD_CATS.len() {
+                self.instant(SHARD_CATS[s], "suspect_clear", now);
+            }
         }
     }
 

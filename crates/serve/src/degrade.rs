@@ -104,7 +104,7 @@ impl Default for LadderPolicy {
 /// full buckets plus the current one — deterministic and O(1), which
 /// matters more here than bucket-edge precision. Shared with the
 /// elastic controller's thrash guard ([`crate::elastic`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WindowCounter {
     width: u64,
     tags: [u64; 8],
@@ -130,6 +130,12 @@ impl WindowCounter {
         self.vals[slot] += n;
     }
 
+    /// The first cycle after `now` in a later bucket: the earliest
+    /// cycle at which [`WindowCounter::sum`] can change with no `add`.
+    pub(crate) fn next_bucket(&self, now: u64) -> u64 {
+        (now / self.width + 1).saturating_mul(self.width)
+    }
+
     pub(crate) fn sum(&self, now: u64) -> u64 {
         let bucket = now / self.width;
         let oldest = bucket.saturating_sub(7);
@@ -153,7 +159,7 @@ pub struct LadderEvent {
 
 /// The degradation ladder: windowed pressure metrics plus the current
 /// service level and its transition history.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
     policy: LadderPolicy,
     level: ServiceLevel,
@@ -225,6 +231,20 @@ impl Ladder {
             0.0
         } else {
             self.failures.sum(now) as f64 / d as f64
+        }
+    }
+
+    /// The earliest cycle after `now` at which [`Ladder::evaluate`] can
+    /// answer differently for unchanged backlog and availability: the
+    /// dwell's end while it holds, then the failure window's next
+    /// bucket boundary.
+    #[must_use]
+    pub fn wake_after(&self, now: u64) -> u64 {
+        let dwell_end = self.last_change + self.policy.dwell;
+        if now < dwell_end {
+            dwell_end
+        } else {
+            self.failures.next_bucket(now)
         }
     }
 
@@ -394,5 +414,39 @@ mod tests {
         assert_eq!(w.sum(100), 5);
         assert_eq!(w.sum(7_900), 5, "still inside the window");
         assert_eq!(w.sum(100_000), 0, "aged out");
+        // Buckets are 1000 cycles wide: the add at 100 ages out with
+        // the eighth boundary after it, not a cycle earlier.
+        assert_eq!(w.next_bucket(7_999), 8_000);
+        assert_eq!(w.next_bucket(8_000), 9_000);
+        assert_eq!(w.sum(7_999), 5);
+        assert_eq!(w.sum(8_000), 0);
+    }
+
+    #[test]
+    fn wake_after_waits_out_the_dwell_then_each_bucket() {
+        let mut l = Ladder::new(quick_policy());
+        // dwell 1000, buckets of 8000 / 8 = 1000 cycles.
+        assert_eq!(l.wake_after(0), 1_000, "dwell from cycle 0");
+        assert_eq!(l.wake_after(1_500), 2_000);
+        for now in (0..3_000u64).step_by(100) {
+            l.observe_dispatch(now);
+            l.observe_failure(now);
+            l.evaluate(now, 0.0, 0.0);
+        }
+        let step = l.events().last().expect("the burst stepped down").at;
+        assert_eq!(
+            l.wake_after(step),
+            step + 1_000,
+            "a step restarts the dwell"
+        );
+        // Between wake points the answer cannot change.
+        let mut calm = Ladder::new(quick_policy());
+        calm.observe_dispatch(0);
+        calm.observe_failure(0);
+        let wake = calm.wake_after(1_200);
+        for now in 1_200..wake {
+            assert_eq!(calm.failure_rate(now), calm.failure_rate(1_200));
+        }
+        assert_eq!(calm.failure_rate(8_000), 0.0, "aged out at a boundary");
     }
 }

@@ -155,7 +155,7 @@ pub struct ShardSignal {
 
 /// The deterministic elastic controller: per-shard dwell stamps, the
 /// cluster-wide thrash window, and the full event/tally record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticController {
     policy: ElasticPolicy,
     /// Per-shard time of the last reconfiguration start.
@@ -263,6 +263,19 @@ impl ElasticController {
             return Some(ElasticAction::Retire);
         }
         None
+    }
+
+    /// The earliest cycle after `now` at which [`ElasticController::decide`]
+    /// can answer differently for unchanged signals: a shard's dwell
+    /// end, or the thrash window's next bucket boundary.
+    #[must_use]
+    pub fn wake_after(&self, now: u64) -> u64 {
+        self.last_start
+            .iter()
+            .flatten()
+            .map(|&last| last.saturating_add(self.policy.dwell))
+            .filter(|&end| end > now)
+            .fold(self.starts.next_bucket(now), u64::min)
     }
 
     /// Records one event; start kinds arm the shard's dwell and charge
@@ -402,6 +415,19 @@ mod tests {
         assert_eq!(ctl.decide(30, 3, &hot(2)), None, "budget spent");
         // Far outside the window the budget refills.
         assert_eq!(ctl.decide(200_000, 3, &hot(2)), Some(ElasticAction::Spawn));
+    }
+
+    #[test]
+    fn wake_after_is_the_next_dwell_end_or_window_boundary() {
+        let mut ctl = ElasticController::new(policy(), 2);
+        // Buckets of 10_000 / 8 = 1_250 cycles; a dwell of 2_000.
+        assert_eq!(ctl.wake_after(0), 1_250, "no dwell armed yet");
+        start(&mut ctl, 100, 0, ElasticEventKind::SpawnStart);
+        assert_eq!(ctl.wake_after(1_300), 2_100, "shard 0's dwell ends first");
+        assert_eq!(ctl.wake_after(2_100), 2_500, "then the next boundary");
+        // Shard 0's answer flips exactly at its dwell end.
+        assert_eq!(ctl.decide(2_099, 0, &hot(2)), None);
+        assert!(ctl.decide(2_100, 0, &hot(2)).is_some());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!
 //! Everything here is a pure function of the seed: the link RNG is a
 //! forked [`SplitMix64`] stream, [`SplitMix64::chance`] always draws
-//! exactly one value, and the p99 sort is exact integer work.
+//! exactly one value, and the p99 is exact integer work.
 
 use eve_common::SplitMix64;
 use std::collections::HashMap;
@@ -243,13 +243,14 @@ impl Link {
 
     /// Transmits one message at `now`: draws duplication once, then
     /// per copy draws loss, jitter, and reordering. Returns the
-    /// delivery time of each surviving copy (empty when everything
-    /// dropped). Every copy updates the class ledger.
-    pub fn transmit(&mut self, now: u64, class: MsgClass, p: &NetPolicy) -> Vec<u64> {
+    /// delivery time of each copy, in copy order, with `None` for a
+    /// dropped copy and for the second copy of an unduplicated message.
+    /// Every copy updates the class ledger.
+    pub fn transmit(&mut self, now: u64, class: MsgClass, p: &NetPolicy) -> [Option<u64>; 2] {
         let copies = if self.rng.chance(p.duplicate) { 2 } else { 1 };
         let loss = self.loss_at(now, p.loss);
-        let mut out = Vec::with_capacity(copies);
-        for c in 0..copies {
+        let mut out = [None; 2];
+        for (c, slot) in out.iter_mut().enumerate().take(copies) {
             self.classes[class as usize].sent += 1;
             if c > 0 {
                 self.classes[class as usize].dup_copies += 1;
@@ -262,7 +263,7 @@ impl Link {
             if self.rng.chance(p.reorder) {
                 delay += p.reorder_extra;
             }
-            out.push(now + delay);
+            *slot = Some(now + delay);
         }
         out
     }
@@ -323,8 +324,8 @@ impl DedupTable {
 }
 
 /// A fixed-capacity sliding window of RTT samples with an exact p99 —
-/// the hedge-delay estimator. The sort runs on at most `cap` integers
-/// per query, and the ring overwrite order is purely arrival order, so
+/// the hedge-delay estimator. A query scans at most `cap` integers a
+/// few times, and the ring overwrite order is purely arrival order, so
 /// the estimate is deterministic.
 #[derive(Debug, Clone)]
 pub struct RttWindow {
@@ -367,16 +368,31 @@ impl RttWindow {
         self.samples.is_empty()
     }
 
-    /// The windowed 99th-percentile RTT, `None` while empty.
+    /// The windowed 99th-percentile RTT, `None` while empty: the
+    /// sample at ascending rank `round((len - 1) × 0.99)`.
+    ///
+    /// Only a handful of samples rank above it in any window a run
+    /// uses, so the value is found by walking the distinct values down
+    /// from the maximum, one scan each, instead of sorting a copy.
     #[must_use]
     pub fn p99(&self) -> Option<u64> {
-        if self.samples.is_empty() {
-            return None;
+        let last = self.samples.len().checked_sub(1)?;
+        let above = last - (last as f64 * 0.99).round() as usize;
+        let mut at_or_above = 0;
+        let mut ceiling = None;
+        loop {
+            let v = self
+                .samples
+                .iter()
+                .copied()
+                .filter(|&s| ceiling.is_none_or(|c| s < c))
+                .max()?;
+            at_or_above += self.samples.iter().filter(|&&s| s == v).count();
+            if at_or_above > above {
+                return Some(v);
+            }
+            ceiling = Some(v);
         }
-        let mut v = self.samples.clone();
-        v.sort_unstable();
-        let idx = ((v.len() - 1) as f64 * 0.99).round() as usize;
-        Some(v[idx])
     }
 
     /// The hedge delay: windowed p99 clamped up to `floor`, and `None`
@@ -474,6 +490,17 @@ impl Detector {
         self.suspected[shard]
     }
 
+    /// The first cycle at which [`Detector::probe`] would newly suspect
+    /// some link if no ack landed before it; `None` while every link is
+    /// suspected.
+    #[must_use]
+    pub fn next_suspicion(&self) -> Option<u64> {
+        (0..self.last_ack.len())
+            .filter(|&s| !self.suspected[s])
+            .map(|s| self.last_ack[s] + self.threshold + 1)
+            .min()
+    }
+
     /// Transition history, in observation order.
     #[must_use]
     pub fn events(&self) -> &[DetectorEvent] {
@@ -544,7 +571,7 @@ mod tests {
             let mut deliveries = Vec::new();
             for i in 0..500u64 {
                 let at = i * 100;
-                for t in l.transmit(at, MsgClass::Req, &p) {
+                for t in l.transmit(at, MsgClass::Req, &p).into_iter().flatten() {
                     assert!(t > at, "delivery must take time");
                     deliveries.push(t);
                     l.on_delivered(MsgClass::Req);
@@ -568,10 +595,10 @@ mod tests {
         let p = NetPolicy::lossy(0.3);
         let mut a = Link::new(42, 0);
         let mut b = Link::new(42, 1);
-        let da: Vec<Vec<u64>> = (0..50)
+        let da: Vec<[Option<u64>; 2]> = (0..50)
             .map(|i| a.transmit(i * 10, MsgClass::Req, &p))
             .collect();
-        let db: Vec<Vec<u64>> = (0..50)
+        let db: Vec<[Option<u64>; 2]> = (0..50)
             .map(|i| b.transmit(i * 10, MsgClass::Req, &p))
             .collect();
         assert_ne!(da, db, "links must fork independent streams");
@@ -589,11 +616,17 @@ mod tests {
         assert!(l.degraded_at(500));
         assert!(!l.degraded_at(1_000));
         for i in 0..20u64 {
-            assert!(l.transmit(i, MsgClass::Resp, &p).is_empty());
+            assert_eq!(l.transmit(i, MsgClass::Resp, &p), [None, None]);
         }
         assert_eq!(l.stats(MsgClass::Resp).dropped, 20);
         // Past the window the baseline (0% loss) applies again.
-        assert_eq!(l.transmit(2_000, MsgClass::Resp, &p).len(), 1);
+        assert_eq!(
+            l.transmit(2_000, MsgClass::Resp, &p)
+                .iter()
+                .flatten()
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -622,6 +655,29 @@ mod tests {
         w.record(100);
         assert_eq!(w.len(), 4);
         assert_eq!(w.p99(), Some(100));
+    }
+
+    /// The scan returns the sort-based order statistic on random
+    /// windows of every capacity from 1 to 200, wrapped or not, with
+    /// narrow value ranges (many ties) and wide ones.
+    #[test]
+    fn p99_matches_the_sorted_reference() {
+        let mut rng = SplitMix64::new(0x99);
+        for cap in 1..=200 {
+            for _ in 0..4 {
+                let mut w = RttWindow::new(cap);
+                let range = [1, 8, 1 << 20][rng.below(3) as usize];
+                for _ in 0..rng.below(2 * cap as u64 + 2) {
+                    w.record(rng.below(range));
+                }
+                let want = (!w.samples.is_empty()).then(|| {
+                    let mut v = w.samples.clone();
+                    v.sort_unstable();
+                    v[((v.len() - 1) as f64 * 0.99).round() as usize]
+                });
+                assert_eq!(w.p99(), want, "cap {cap}, samples {:?}", w.samples);
+            }
+        }
     }
 
     #[test]
@@ -660,6 +716,21 @@ mod tests {
         // Shard 1 was never touched.
         assert!(d.suspected(1) || !d.suspected(1));
         assert!(!d.suspected(1));
+    }
+
+    #[test]
+    fn next_suspicion_is_the_first_cycle_a_probe_suspects() {
+        let mut d = Detector::new(2, 1_000, 3);
+        d.on_ack(900, 0);
+        d.on_ack(300, 1);
+        let at = d.next_suspicion().expect("no link is suspected");
+        assert_eq!(at, 300 + 4_000 + 1);
+        assert_eq!(d.probe(at - 1, 1), None);
+        assert!(d.probe(at, 1).is_some());
+        // With shard 1 suspected, only shard 0's clock is left.
+        assert_eq!(d.next_suspicion(), Some(900 + 4_000 + 1));
+        assert!(d.probe(900 + 4_000 + 1, 0).is_some());
+        assert_eq!(d.next_suspicion(), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn tenant_mix(n: usize) -> Vec<TenantSpec> {
 }
 
 /// Per-tenant FIFOs with WDRR drain state for one shard.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantQueues {
     queues: Vec<VecDeque<usize>>,
     deficits: Vec<u64>,
