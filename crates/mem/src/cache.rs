@@ -382,4 +382,193 @@ mod tests {
         assert_eq!((clean, dirty), (1, 1));
         assert_eq!(c.resident_lines(), 0);
     }
+
+    /// The cache with one `line -> fill completion` map holding every
+    /// line ever filled, probed on hits and misses alike: the timing
+    /// semantics [`Cache`] must keep, as a differential oracle.
+    struct Reference {
+        cfg: CacheConfig,
+        sets: u64,
+        tags: Vec<Vec<Option<(u64, bool, u64)>>>,
+        banks: Vec<Cycle>,
+        mshrs: Vec<Cycle>,
+        inflight: HashMap<u64, Cycle>,
+        use_clock: u64,
+        ctr: Counters<Ctr>,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets().unwrap();
+            Self {
+                tags: vec![vec![None; cfg.ways as usize]; sets as usize],
+                banks: vec![Cycle::ZERO; cfg.banks as usize],
+                mshrs: vec![Cycle::ZERO; cfg.mshrs as usize],
+                inflight: HashMap::new(),
+                use_clock: 0,
+                sets,
+                cfg,
+                ctr: Counters::new(),
+            }
+        }
+
+        fn lookup(&mut self, addr: u64, store: bool, now: Cycle) -> LevelOutcome {
+            let line = line_of(addr);
+            let b = (line % u64::from(self.cfg.banks)) as usize;
+            let start = now.max(self.banks[b]);
+            self.banks[b] = start + Cycle(1);
+            let set = (line % self.sets) as usize;
+            self.use_clock += 1;
+            let clock = self.use_clock;
+            if let Some(e) = self.tags[set].iter_mut().flatten().find(|e| e.0 == line) {
+                e.2 = clock;
+                e.1 |= store;
+                self.ctr.incr(Ctr::Hits);
+                let pending = self.inflight.get(&line).copied().unwrap_or(Cycle::ZERO);
+                return LevelOutcome {
+                    hit: true,
+                    ready: (start + Cycle(self.cfg.hit_latency)).max(pending),
+                    mshr_wait: Cycle::ZERO,
+                    mshr_slot: None,
+                };
+            }
+            self.ctr.incr(Ctr::Misses);
+            let lookup_done = start + Cycle(self.cfg.hit_latency);
+            if let Some(&fill_done) = self.inflight.get(&line) {
+                if fill_done > lookup_done {
+                    self.ctr.incr(Ctr::MshrCoalesced);
+                    return LevelOutcome {
+                        hit: true,
+                        ready: fill_done,
+                        mshr_wait: Cycle::ZERO,
+                        mshr_slot: None,
+                    };
+                }
+                self.inflight.remove(&line);
+            }
+            let (slot, &free_at) = self
+                .mshrs
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &c)| c)
+                .unwrap();
+            let issue = lookup_done.max(free_at);
+            let wait = issue.saturating_since(lookup_done);
+            self.ctr.add(Ctr::MshrWaitCycles, wait.0);
+            self.mshrs[slot] = Cycle(u64::MAX);
+            LevelOutcome {
+                hit: false,
+                ready: issue,
+                mshr_wait: wait,
+                mshr_slot: Some(slot),
+            }
+        }
+
+        fn fill_slot(
+            &mut self,
+            addr: u64,
+            store: bool,
+            fill_done: Cycle,
+            slot: usize,
+        ) -> Option<u64> {
+            let line = line_of(addr);
+            let set = (line % self.sets) as usize;
+            self.inflight.insert(line, fill_done);
+            self.mshrs[slot] = fill_done;
+            self.use_clock += 1;
+            let clock = self.use_clock;
+            let ways = &mut self.tags[set];
+            let victim = match ways.iter().position(Option::is_none) {
+                Some(i) => i,
+                None => ways
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.map_or(0, |t| t.2))
+                    .map(|(i, _)| i)
+                    .unwrap(),
+            };
+            let evicted = ways[victim].filter(|e| e.1).map(|e| e.0);
+            ways[victim] = Some((line, store, clock));
+            if evicted.is_some() {
+                self.ctr.incr(Ctr::Writebacks);
+            }
+            evicted
+        }
+
+        fn invalidate_all(&mut self) -> (u64, u64) {
+            let mut counts = (0, 0);
+            for e in self.tags.iter_mut().flatten().filter_map(Option::take) {
+                if e.1 {
+                    counts.1 += 1;
+                } else {
+                    counts.0 += 1;
+                }
+            }
+            self.inflight.clear();
+            counts
+        }
+
+        fn resident_lines(&self) -> u64 {
+            self.tags.iter().flatten().flatten().count() as u64
+        }
+    }
+
+    /// Random streams over a few tiny geometries, driven the way the
+    /// hierarchy drives a level: every miss is filled before the next
+    /// lookup, its fill lands at a random later cycle, and `now`
+    /// wanders backwards as an O3 core's lookups do. Lines get evicted
+    /// before their fill lands and are missed again before it does, so
+    /// the coalesce-onto-an-evicted-line path runs.
+    #[test]
+    fn matches_the_fill_map_reference_on_random_streams() {
+        let mut coalesced = 0;
+        for seed in 0..300u64 {
+            let mut rng = eve_common::SplitMix64::new(seed);
+            let sets = 2 << rng.below(2);
+            let cfg = CacheConfig {
+                name: "diff".into(),
+                size_bytes: sets * 2 * 64,
+                ways: 2,
+                hit_latency: 1 + rng.below(3),
+                mshrs: 1 + rng.below(3) as u32,
+                banks: 1 << rng.below(2),
+            };
+            let lines = sets * 2 * (2 + rng.below(3));
+            let mut dut = Cache::new(cfg.clone());
+            let mut oracle = Reference::new(cfg);
+            let mut now = 0u64;
+            for step in 0..400 {
+                now = (now + rng.below(24)).saturating_sub(rng.below(20));
+                let addr = rng.below(lines) * 64 + rng.below(64);
+                let store = rng.chance(0.3);
+                let at = Cycle(now);
+                assert_eq!(
+                    dut.mshr_full_at(at),
+                    oracle.mshrs.iter().all(|&c| c > at),
+                    "seed {seed} step {step}"
+                );
+                let got = dut.lookup(addr, store, at);
+                assert_eq!(
+                    got,
+                    oracle.lookup(addr, store, at),
+                    "seed {seed} step {step}"
+                );
+                if let Some(slot) = got.mshr_slot {
+                    let done = got.ready + Cycle(rng.below(300));
+                    assert_eq!(
+                        dut.fill_slot(addr, store, done, slot),
+                        oracle.fill_slot(addr, store, done, slot),
+                        "seed {seed} step {step}"
+                    );
+                }
+                if rng.chance(0.004) {
+                    assert_eq!(dut.invalidate_all(), oracle.invalidate_all());
+                }
+                assert_eq!(dut.resident_lines(), oracle.resident_lines());
+            }
+            assert_eq!(dut.stats(), oracle.ctr.to_stats(), "seed {seed}");
+            coalesced += dut.stats().get("mshr_coalesced");
+        }
+        assert!(coalesced > 100, "only {coalesced} coalesced misses");
+    }
 }
