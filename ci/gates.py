@@ -32,6 +32,7 @@ RESULT_BINS = [
     "fig6_performance",
     "fig7_breakdown",
     "fig8_vmu_stalls",
+    "report_digest",
     "tab1_taxonomy",
     "tab3_systems",
     "tab4_benchmarks",

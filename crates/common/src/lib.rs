@@ -27,6 +27,15 @@ pub use rng::SplitMix64;
 pub use stats::{CounterSlot, Counters, Stat, Stats};
 pub use time::{Cycle, Picos};
 
+/// FNV-1a, 64-bit: the fingerprint the pinned-bytes fixtures and
+/// `report_digest` take of a report's JSON.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Error type shared across the workspace for configuration problems.
 ///
 /// Configuration errors are reported when a machine or array is constructed

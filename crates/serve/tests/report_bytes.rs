@@ -8,7 +8,7 @@
 //! compares each run's `ClusterReport::to_json` against a committed
 //! fingerprint.
 
-use eve_common::SplitMix64;
+use eve_common::{fnv1a64, SplitMix64};
 use eve_serve::{
     tenant_mix, ClusterConfig, ClusterReport, ClusterSim, ClusterTraffic, ElasticPolicy,
     FaultStorm, NetPolicy, Router, ServiceProfile, TrafficShape,
@@ -162,13 +162,6 @@ fn run(cell: Cell) -> ClusterReport {
         sim
     };
     sim.run()
-}
-
-/// FNV-1a, 64-bit: a fingerprint of one report's JSON bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Every cell's label, arrivals, completions and report hash match the

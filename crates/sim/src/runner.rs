@@ -294,6 +294,7 @@ impl CoreStats<EveEngine> for O3Core<EveEngine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eve_common::fnv1a64;
 
     #[test]
     fn io_runs_and_verifies() {
@@ -345,13 +346,6 @@ mod tests {
 
     const REGEN: &str =
         "EVE_UPDATE_FIXTURES=1 cargo test -p eve-sim every_system_verifies_every_tiny_kernel";
-
-    /// FNV-1a, 64-bit: a fingerprint of one report's JSON bytes.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
 
     /// Runs the whole tiny matrix and pins every report: cycles,
     /// instruction count and a hash of `to_json()`, so a dropped,
