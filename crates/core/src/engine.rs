@@ -428,12 +428,12 @@ impl EveEngine {
         }
     }
 
-    /// Collects a memory effect's deduplicated line requests into
+    /// Collects a memory instruction's deduplicated line requests into
     /// `lines` — a caller-owned scratch buffer (see `line_buf`), so
     /// the per-instruction hot path does not allocate.
-    fn fill_line_requests(lines: &mut Vec<u64>, mem: &MemEffect) {
+    fn fill_line_requests(lines: &mut Vec<u64>, r: &Retired) {
         lines.clear();
-        match mem {
+        match &r.mem {
             MemEffect::VecUnit { base, bytes, .. } => {
                 if *bytes == 0 {
                     return;
@@ -451,8 +451,8 @@ impl EveEngine {
                 (0..u64::from(*count))
                     .map(|i| ((*base as i64 + stride * i as i64) as u64) / LINE_BYTES),
             ),
-            MemEffect::VecIndexed { addrs, .. } => {
-                lines.extend(addrs.iter().map(|a| a / LINE_BYTES));
+            MemEffect::VecIndexed { .. } => {
+                lines.extend(r.addrs.iter().map(|a| a / LINE_BYTES));
             }
             _ => {}
         }
@@ -510,7 +510,7 @@ impl EveEngine {
         }
 
         let mut lines = std::mem::take(&mut self.line_buf);
-        Self::fill_line_requests(&mut lines, &r.mem);
+        Self::fill_line_requests(&mut lines, r);
         let mut t = self
             .vmu_now
             .max(accept)
@@ -586,7 +586,7 @@ impl EveEngine {
         // Detranspose on the DTUs; a deep backlog stalls the VSU.
         let dt = self.dtu_line_cycles();
         let mut lines = std::mem::take(&mut self.line_buf);
-        Self::fill_line_requests(&mut lines, &r.mem);
+        Self::fill_line_requests(&mut lines, r);
         let mut detr_done = self.vsu_now;
         for _ in &lines {
             if dt == 0 {
@@ -844,6 +844,7 @@ mod tests {
             reads: [None; 4],
             write: Some(RegId::V(vreg::V3)),
             mem: MemEffect::None,
+            addrs: Vec::new(),
             vl,
             branch: None,
             scalar_operand: None,
@@ -1264,6 +1265,7 @@ mod path_tests {
             reads: [None; 4],
             write: Some(RegId::V(vreg::V3)),
             mem: MemEffect::None,
+            addrs: Vec::new(),
             vl,
             branch: None,
             scalar_operand: None,
@@ -1307,10 +1309,10 @@ mod path_tests {
             };
             let mut r = retired(ld, 1024);
             r.mem = match stride {
-                VStride::Indexed(_) => MemEffect::VecIndexed {
-                    addrs: (0..1024u64).map(|i| 0x10_0000 + i * 4).collect(),
-                    store: false,
-                },
+                VStride::Indexed(_) => {
+                    r.addrs = (0..1024u64).map(|i| 0x10_0000 + i * 4).collect();
+                    MemEffect::VecIndexed { store: false }
+                }
                 _ => MemEffect::VecUnit {
                     base: 0x10_0000,
                     bytes: 4096,

@@ -74,10 +74,9 @@ pub enum MemEffect {
         /// Whether it writes memory.
         store: bool,
     },
-    /// Indexed gather/scatter: one address per element.
+    /// Indexed gather/scatter: one address per element, in the
+    /// record's [`Retired::addrs`].
     VecIndexed {
-        /// Element addresses in element order.
-        addrs: Vec<u64>,
         /// Whether it writes memory.
         store: bool,
     },
@@ -92,7 +91,7 @@ impl MemEffect {
             MemEffect::Scalar { store, .. }
             | MemEffect::VecUnit { store, .. }
             | MemEffect::VecStrided { store, .. }
-            | MemEffect::VecIndexed { store, .. } => *store,
+            | MemEffect::VecIndexed { store } => *store,
         }
     }
 }
@@ -112,6 +111,9 @@ pub struct Retired {
     pub write: Option<RegId>,
     /// Memory footprint.
     pub mem: MemEffect,
+    /// Element addresses of an indexed access, in element order; empty
+    /// for every other footprint. A reused record keeps the buffer.
+    pub addrs: Vec<u64>,
     /// Vector length in effect (vector instructions only).
     pub vl: u32,
     /// Branch outcome: `(taken, next_pc)` for branches/jumps.
@@ -121,6 +123,28 @@ pub struct Retired {
     /// time, e.g. for unrolling shift μops (§III-B).
     pub scalar_operand: Option<u32>,
 }
+
+impl Default for Retired {
+    /// A blank record for [`Interpreter::step_into`] to fill.
+    fn default() -> Self {
+        Self {
+            seq: 0,
+            pc: 0,
+            inst: Inst::Halt,
+            reads: [None; 4],
+            write: None,
+            mem: MemEffect::None,
+            addrs: Vec::new(),
+            vl: 0,
+            branch: None,
+            scalar_operand: None,
+        }
+    }
+}
+
+/// The vector register file's extra slot past `v31`: where a source
+/// that its own destination overwrites is copied first.
+const SCRATCH: usize = 32;
 
 /// Functional interpreter over a [`Program`] and a [`Memory`].
 ///
@@ -132,7 +156,8 @@ pub struct Interpreter {
     prog: Program,
     mem: Memory,
     x: [i64; 32],
-    v: Vec<Vec<u32>>,
+    /// `v0`..`v31` and the scratch register, `hw_vl` elements each.
+    v: Vec<u32>,
     vl: u32,
     hw_vl: u32,
     pc: u32,
@@ -153,7 +178,7 @@ impl Interpreter {
             prog,
             mem,
             x: [0; 32],
-            v: vec![vec![0; hw_vl as usize]; 32],
+            v: vec![0; (SCRATCH + 1) * hw_vl as usize],
             vl: hw_vl,
             hw_vl,
             pc: 0,
@@ -182,7 +207,8 @@ impl Interpreter {
     /// Current contents of a vector register.
     #[must_use]
     pub fn vreg(&self, r: Vreg) -> &[u32] {
-        &self.v[r.index() as usize]
+        let base = self.vbase(r);
+        &self.v[base..base + self.hw_vl as usize]
     }
 
     /// Current vector length.
@@ -229,14 +255,14 @@ impl Interpreter {
     ///
     /// Panics if more lanes are given than the register holds.
     pub fn poke_vreg(&mut self, r: Vreg, values: &[u32]) {
-        let reg = &mut self.v[r.index() as usize];
         assert!(
-            values.len() <= reg.len(),
+            values.len() <= self.hw_vl as usize,
             "poke of {} lanes into a {}-lane register",
             values.len(),
-            reg.len()
+            self.hw_vl
         );
-        reg[..values.len()].copy_from_slice(values);
+        let base = self.vbase(r);
+        self.v[base..base + values.len()].copy_from_slice(values);
     }
 
     fn rx(&self, r: Xreg) -> i64 {
@@ -249,11 +275,37 @@ impl Interpreter {
         }
     }
 
-    fn operand(&self, rhs: VOperand) -> OperandValue<'_> {
+    /// Where register `r`'s element 0 sits in the register file.
+    fn vbase(&self, r: Vreg) -> usize {
+        r.index() as usize * self.hw_vl as usize
+    }
+
+    /// Element `i` of `v0`'s mask bit is clear: the lane is inactive.
+    fn masked_off(&self, i: usize) -> bool {
+        self.v[i] & 1 == 0
+    }
+
+    fn operand(&self, rhs: VOperand) -> Operand {
         match rhs {
-            VOperand::Reg(v) => OperandValue::Vec(&self.v[v.index() as usize]),
-            VOperand::Scalar(x) => OperandValue::Broadcast(self.rx(x) as u32),
-            VOperand::Imm(i) => OperandValue::Broadcast(i as u32),
+            VOperand::Reg(v) => Operand::Reg(self.vbase(v)),
+            VOperand::Scalar(x) => Operand::Splat(self.rx(x) as u32),
+            VOperand::Imm(i) => Operand::Splat(i as u32),
+        }
+    }
+
+    fn at(&self, rhs: Operand, i: usize) -> u32 {
+        match rhs {
+            Operand::Reg(base) => self.v[base + i],
+            Operand::Splat(b) => b,
+        }
+    }
+
+    /// The `.vx`/`.vi` value a vector instruction's operand resolves to.
+    fn scalar_operand(&self, rhs: VOperand) -> Option<u32> {
+        match rhs {
+            VOperand::Scalar(x) => Some(self.rx(x) as u32),
+            VOperand::Imm(i) => Some(i as u32),
+            VOperand::Reg(_) => None,
         }
     }
 
@@ -265,9 +317,24 @@ impl Interpreter {
         }
     }
 
+    /// Where to read `vs` from for an instruction that writes `vd`
+    /// and reads any element of `vs`: `vs` itself, or the scratch
+    /// register holding a copy of its first `vl` elements when the
+    /// two alias.
+    fn unaliased(&mut self, vs: Vreg, vd: Vreg, vl: usize) -> usize {
+        let base = self.vbase(vs);
+        if vs != vd {
+            return base;
+        }
+        let scratch = SCRATCH * self.hw_vl as usize;
+        self.v.copy_within(base..base + vl, scratch);
+        scratch
+    }
+
     /// Executes one instruction.
     ///
-    /// Returns `Ok(None)` once halted.
+    /// Returns `Ok(None)` once halted. A wrapper over
+    /// [`Self::step_into`] with a fresh record.
     ///
     /// # Errors
     ///
@@ -278,56 +345,64 @@ impl Interpreter {
     ///
     /// Panics on out-of-bounds memory accesses (a workload bug).
     pub fn step(&mut self) -> Result<Option<Retired>, IsaError> {
+        let mut out = Retired::default();
+        Ok(self.step_into(&mut out)?.then_some(out))
+    }
+
+    /// Executes one instruction into `out`, a record the caller owns
+    /// and reuses. Every field of `out` is written, so nothing stale
+    /// survives from an earlier step, and nothing is allocated once an
+    /// indexed access has grown `out.addrs` to the vector length.
+    ///
+    /// Returns `Ok(false)`, leaving `out` as it was, once halted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaError::PcOutOfRange`] if control flow escapes the
+    /// program.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds memory accesses (a workload bug).
+    pub fn step_into(&mut self, out: &mut Retired) -> Result<bool, IsaError> {
         if self.halted {
-            return Ok(None);
+            return Ok(false);
         }
         let pc = self.pc;
         let Some(&inst) = self.prog.insts().get(pc as usize) else {
             return Err(IsaError::PcOutOfRange(pc));
         };
-        let mut reads: [Option<RegId>; 4] = [None; 4];
-        let mut nr = 0;
-        let mut read = |r: RegId, reads: &mut [Option<RegId>; 4]| {
-            if nr < 4 {
-                reads[nr] = Some(r);
-                nr += 1;
-            }
-        };
-        let mut write = None;
-        let mut mem = MemEffect::None;
-        let mut branch = None;
-        let mut next = pc + 1;
         let vl = self.vl;
-        let scalar_operand = match inst {
-            Inst::VOp { rhs, .. }
-            | Inst::VCmp { rhs, .. }
-            | Inst::VMerge { rhs, .. }
-            | Inst::VMv { rhs, .. } => match rhs {
-                VOperand::Scalar(x) => Some(self.rx(x) as u32),
-                VOperand::Imm(i) => Some(i as u32),
-                VOperand::Reg(_) => None,
-            },
-            Inst::VSlide { amount, .. } => Some(self.rx(amount) as u32),
-            _ => None,
-        };
+        let n = vl as usize;
+        out.seq = self.seq;
+        out.pc = pc;
+        out.inst = inst;
+        out.reads = [None; 4];
+        out.write = None;
+        out.mem = MemEffect::None;
+        out.addrs.clear();
+        out.vl = vl;
+        out.branch = None;
+        out.scalar_operand = None;
+        let mut next = pc + 1;
 
         match inst {
             Inst::Li { rd, imm } => {
                 self.wx(rd, imm);
-                write = Some(RegId::X(rd));
+                out.write = Some(RegId::X(rd));
             }
             Inst::Op { op, rd, rs1, rs2 } => {
-                read(RegId::X(rs1), &mut reads);
-                read(RegId::X(rs2), &mut reads);
+                out.reads[0] = Some(RegId::X(rs1));
+                out.reads[1] = Some(RegId::X(rs2));
                 let v = scalar_op(op, self.rx(rs1), self.rx(rs2));
                 self.wx(rd, v);
-                write = Some(RegId::X(rd));
+                out.write = Some(RegId::X(rd));
             }
             Inst::OpImm { op, rd, rs1, imm } => {
-                read(RegId::X(rs1), &mut reads);
+                out.reads[0] = Some(RegId::X(rs1));
                 let v = scalar_op(op, self.rx(rs1), imm);
                 self.wx(rd, v);
-                write = Some(RegId::X(rd));
+                out.write = Some(RegId::X(rd));
             }
             Inst::Load {
                 width,
@@ -335,7 +410,7 @@ impl Interpreter {
                 base,
                 offset,
             } => {
-                read(RegId::X(base), &mut reads);
+                out.reads[0] = Some(RegId::X(base));
                 let addr = (self.rx(base) + offset) as u64;
                 let v = match width {
                     MemWidth::B => i64::from(self.mem.load_u8(addr)),
@@ -344,8 +419,8 @@ impl Interpreter {
                     MemWidth::D => self.mem.load_u64(addr) as i64,
                 };
                 self.wx(rd, v);
-                write = Some(RegId::X(rd));
-                mem = MemEffect::Scalar {
+                out.write = Some(RegId::X(rd));
+                out.mem = MemEffect::Scalar {
                     addr,
                     bytes: width.bytes(),
                     store: false,
@@ -357,8 +432,8 @@ impl Interpreter {
                 base,
                 offset,
             } => {
-                read(RegId::X(src), &mut reads);
-                read(RegId::X(base), &mut reads);
+                out.reads[0] = Some(RegId::X(src));
+                out.reads[1] = Some(RegId::X(base));
                 let addr = (self.rx(base) + offset) as u64;
                 let v = self.rx(src);
                 match width {
@@ -367,7 +442,7 @@ impl Interpreter {
                     MemWidth::W => self.mem.store_u32(addr, v as u32),
                     MemWidth::D => self.mem.store_u64(addr, v as u64),
                 }
-                mem = MemEffect::Scalar {
+                out.mem = MemEffect::Scalar {
                     addr,
                     bytes: width.bytes(),
                     store: true,
@@ -379,8 +454,8 @@ impl Interpreter {
                 rs2,
                 target,
             } => {
-                read(RegId::X(rs1), &mut reads);
-                read(RegId::X(rs2), &mut reads);
+                out.reads[0] = Some(RegId::X(rs1));
+                out.reads[1] = Some(RegId::X(rs2));
                 let a = self.rx(rs1);
                 let b = self.rx(rs2);
                 let taken = match cond {
@@ -394,21 +469,21 @@ impl Interpreter {
                 if taken {
                     next = target;
                 }
-                branch = Some((taken, next));
+                out.branch = Some((taken, next));
             }
             Inst::Jump { target } => {
                 next = target;
-                branch = Some((true, next));
+                out.branch = Some((true, next));
             }
             Inst::Halt => {
                 self.halted = true;
             }
             Inst::SetVl { rd, avl } => {
-                read(RegId::X(avl), &mut reads);
+                out.reads[0] = Some(RegId::X(avl));
                 let req = self.rx(avl).max(0) as u64;
                 self.vl = req.min(u64::from(self.hw_vl)) as u32;
                 self.wx(rd, i64::from(self.vl));
-                write = Some(RegId::X(rd));
+                out.write = Some(RegId::X(rd));
             }
             Inst::VMFence => {}
             Inst::VLoad {
@@ -417,20 +492,22 @@ impl Interpreter {
                 stride,
                 masked,
             } => {
-                read(RegId::X(base), &mut reads);
-                if masked {
-                    read(RegId::V(Vreg::new(0)), &mut reads);
-                }
+                out.reads = packed([
+                    Some(RegId::X(base)),
+                    masked.then_some(RegId::V(Vreg::new(0))),
+                    indexed_by(stride),
+                ]);
                 let b = self.rx(base) as u64;
-                mem = self.vmem_effect(b, stride, false, &mut reads);
-                for i in 0..vl as usize {
-                    if masked && self.v[0][i] & 1 == 0 {
+                out.mem = self.vmem_effect(b, stride, false, &mut out.addrs);
+                let d = self.vbase(vd);
+                for i in 0..n {
+                    if masked && self.masked_off(i) {
                         continue;
                     }
                     let addr = self.velem_addr(b, stride, i);
-                    self.v[vd.index() as usize][i] = self.mem.load_u32(addr);
+                    self.v[d + i] = self.mem.load_u32(addr);
                 }
-                write = Some(RegId::V(vd));
+                out.write = Some(RegId::V(vd));
             }
             Inst::VStore {
                 vs,
@@ -438,20 +515,21 @@ impl Interpreter {
                 stride,
                 masked,
             } => {
-                read(RegId::V(vs), &mut reads);
-                read(RegId::X(base), &mut reads);
-                if masked {
-                    read(RegId::V(Vreg::new(0)), &mut reads);
-                }
+                out.reads = packed([
+                    Some(RegId::V(vs)),
+                    Some(RegId::X(base)),
+                    masked.then_some(RegId::V(Vreg::new(0))),
+                    indexed_by(stride),
+                ]);
                 let b = self.rx(base) as u64;
-                mem = self.vmem_effect(b, stride, true, &mut reads);
-                for i in 0..vl as usize {
-                    if masked && self.v[0][i] & 1 == 0 {
+                out.mem = self.vmem_effect(b, stride, true, &mut out.addrs);
+                let s = self.vbase(vs);
+                for i in 0..n {
+                    if masked && self.masked_off(i) {
                         continue;
                     }
                     let addr = self.velem_addr(b, stride, i);
-                    let v = self.v[vs.index() as usize][i];
-                    self.mem.store_u32(addr, v);
+                    self.mem.store_u32(addr, self.v[s + i]);
                 }
             }
             Inst::VOp {
@@ -461,119 +539,103 @@ impl Interpreter {
                 rhs,
                 masked,
             } => {
-                read(RegId::V(vs1), &mut reads);
-                if let Some(r) = Self::operand_read(rhs) {
-                    read(r, &mut reads);
-                }
-                if masked {
-                    read(RegId::V(Vreg::new(0)), &mut reads);
-                }
-                if op == VArithOp::Macc {
-                    // Accumulating ops also read the destination.
-                    read(RegId::V(vd), &mut reads);
-                }
-                let result: Vec<u32> = (0..vl as usize)
-                    .map(|i| {
-                        let a = self.v[vs1.index() as usize][i];
-                        let b = self.operand(rhs).at(i);
-                        if op == VArithOp::Macc {
-                            let acc = self.v[vd.index() as usize][i];
-                            acc.wrapping_add(a.wrapping_mul(b))
-                        } else {
-                            varith(op, a, b)
-                        }
-                    })
-                    .collect();
-                for (i, r) in result.into_iter().enumerate() {
-                    if masked && self.v[0][i] & 1 == 0 {
+                let macc = op == VArithOp::Macc;
+                // Accumulating ops also read the destination.
+                out.reads = packed([
+                    Some(RegId::V(vs1)),
+                    Self::operand_read(rhs),
+                    masked.then_some(RegId::V(Vreg::new(0))),
+                    macc.then_some(RegId::V(vd)),
+                ]);
+                out.scalar_operand = self.scalar_operand(rhs);
+                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                // Element i reads only element i of each source, so the
+                // destination is written in place.
+                for i in 0..n {
+                    if masked && self.masked_off(i) {
                         continue;
                     }
-                    self.v[vd.index() as usize][i] = r;
-                }
-                write = Some(RegId::V(vd));
-            }
-            Inst::VCmp { cond, vd, vs1, rhs } => {
-                read(RegId::V(vs1), &mut reads);
-                if let Some(r) = Self::operand_read(rhs) {
-                    read(r, &mut reads);
-                }
-                let result: Vec<u32> = (0..vl as usize)
-                    .map(|i| {
-                        let a = self.v[vs1.index() as usize][i];
-                        let b = self.operand(rhs).at(i);
-                        u32::from(vcmp(cond, a, b))
-                    })
-                    .collect();
-                for (i, r) in result.into_iter().enumerate() {
-                    self.v[vd.index() as usize][i] = r;
-                }
-                write = Some(RegId::V(vd));
-            }
-            Inst::VMerge { vd, vs1, rhs } => {
-                read(RegId::V(vs1), &mut reads);
-                if let Some(r) = Self::operand_read(rhs) {
-                    read(r, &mut reads);
-                }
-                read(RegId::V(Vreg::new(0)), &mut reads);
-                let result: Vec<u32> = (0..vl as usize)
-                    .map(|i| {
-                        if self.v[0][i] & 1 == 1 {
-                            self.v[vs1.index() as usize][i]
-                        } else {
-                            self.operand(rhs).at(i)
-                        }
-                    })
-                    .collect();
-                for (i, r) in result.into_iter().enumerate() {
-                    self.v[vd.index() as usize][i] = r;
-                }
-                write = Some(RegId::V(vd));
-            }
-            Inst::VMask { op, md, m1, m2 } => {
-                read(RegId::V(m1), &mut reads);
-                if op != MaskOp::Not {
-                    read(RegId::V(m2), &mut reads);
-                }
-                for i in 0..vl as usize {
-                    let a = self.v[m1.index() as usize][i] & 1;
-                    let b = self.v[m2.index() as usize][i] & 1;
-                    self.v[md.index() as usize][i] = match op {
-                        MaskOp::And => a & b,
-                        MaskOp::Or => a | b,
-                        MaskOp::Xor => a ^ b,
-                        MaskOp::AndNot => a & (1 - b),
-                        MaskOp::Not => 1 - a,
+                    let (x, y) = (self.v[a + i], self.at(b, i));
+                    self.v[d + i] = if macc {
+                        self.v[d + i].wrapping_add(x.wrapping_mul(y))
+                    } else {
+                        varith(op, x, y)
                     };
                 }
-                write = Some(RegId::V(md));
+                out.write = Some(RegId::V(vd));
+            }
+            Inst::VCmp { cond, vd, vs1, rhs } => {
+                out.reads = packed([Some(RegId::V(vs1)), Self::operand_read(rhs)]);
+                out.scalar_operand = self.scalar_operand(rhs);
+                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                for i in 0..n {
+                    self.v[d + i] = u32::from(vcmp(cond, self.v[a + i], self.at(b, i)));
+                }
+                out.write = Some(RegId::V(vd));
+            }
+            Inst::VMerge { vd, vs1, rhs } => {
+                out.reads = packed([
+                    Some(RegId::V(vs1)),
+                    Self::operand_read(rhs),
+                    Some(RegId::V(Vreg::new(0))),
+                ]);
+                out.scalar_operand = self.scalar_operand(rhs);
+                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                for i in 0..n {
+                    self.v[d + i] = if self.masked_off(i) {
+                        self.at(b, i)
+                    } else {
+                        self.v[a + i]
+                    };
+                }
+                out.write = Some(RegId::V(vd));
+            }
+            Inst::VMask { op, md, m1, m2 } => {
+                out.reads = packed([
+                    Some(RegId::V(m1)),
+                    (op != MaskOp::Not).then_some(RegId::V(m2)),
+                ]);
+                let (d, a, b) = (self.vbase(md), self.vbase(m1), self.vbase(m2));
+                for i in 0..n {
+                    let x = self.v[a + i] & 1;
+                    let y = self.v[b + i] & 1;
+                    self.v[d + i] = match op {
+                        MaskOp::And => x & y,
+                        MaskOp::Or => x | y,
+                        MaskOp::Xor => x ^ y,
+                        MaskOp::AndNot => x & (1 - y),
+                        MaskOp::Not => 1 - x,
+                    };
+                }
+                out.write = Some(RegId::V(md));
             }
             Inst::VMv { vd, rhs } => {
-                if let Some(r) = Self::operand_read(rhs) {
-                    read(r, &mut reads);
+                out.reads = packed([Self::operand_read(rhs)]);
+                out.scalar_operand = self.scalar_operand(rhs);
+                let (d, b) = (self.vbase(vd), self.operand(rhs));
+                for i in 0..n {
+                    self.v[d + i] = self.at(b, i);
                 }
-                for i in 0..vl as usize {
-                    self.v[vd.index() as usize][i] = self.operand(rhs).at(i);
-                }
-                write = Some(RegId::V(vd));
+                out.write = Some(RegId::V(vd));
             }
             Inst::VMvXS { rd, vs } => {
-                read(RegId::V(vs), &mut reads);
-                let v = self.v[vs.index() as usize][0];
+                out.reads[0] = Some(RegId::V(vs));
+                let v = self.v[self.vbase(vs)];
                 self.wx(rd, i64::from(v as i32));
-                write = Some(RegId::X(rd));
+                out.write = Some(RegId::X(rd));
             }
             Inst::VMvSX { vd, rs } => {
-                read(RegId::X(rs), &mut reads);
-                self.v[vd.index() as usize][0] = self.rx(rs) as u32;
-                write = Some(RegId::V(vd));
+                out.reads[0] = Some(RegId::X(rs));
+                let d = self.vbase(vd);
+                self.v[d] = self.rx(rs) as u32;
+                out.write = Some(RegId::V(vd));
             }
             Inst::VRed { op, vd, vs2, vs1 } => {
-                read(RegId::V(vs2), &mut reads);
-                read(RegId::V(vs1), &mut reads);
-                let init = self.v[vs1.index() as usize][0];
-                let mut acc = init;
-                for i in 0..vl as usize {
-                    let e = self.v[vs2.index() as usize][i];
+                out.reads[0] = Some(RegId::V(vs2));
+                out.reads[1] = Some(RegId::V(vs1));
+                let s = self.vbase(vs2);
+                let mut acc = self.v[self.vbase(vs1)];
+                for &e in &self.v[s..s + n] {
                     acc = match op {
                         RedOp::Sum => acc.wrapping_add(e),
                         RedOp::Min => (acc as i32).min(e as i32) as u32,
@@ -582,86 +644,70 @@ impl Interpreter {
                         RedOp::Maxu => acc.max(e),
                     };
                 }
-                self.v[vd.index() as usize][0] = acc;
-                write = Some(RegId::V(vd));
+                let d = self.vbase(vd);
+                self.v[d] = acc;
+                out.write = Some(RegId::V(vd));
             }
             Inst::VSlide { vd, vs, amount, up } => {
-                read(RegId::V(vs), &mut reads);
-                read(RegId::X(amount), &mut reads);
+                out.reads[0] = Some(RegId::V(vs));
+                out.reads[1] = Some(RegId::X(amount));
+                out.scalar_operand = Some(self.rx(amount) as u32);
                 let amt = self.rx(amount).max(0) as usize;
-                let src = self.v[vs.index() as usize].clone();
-                let dst = &mut self.v[vd.index() as usize];
+                let s = self.unaliased(vs, vd, n);
+                let d = self.vbase(vd);
                 if up {
-                    for i in (amt..vl as usize).rev() {
-                        dst[i] = src[i - amt];
+                    for i in (amt..n).rev() {
+                        self.v[d + i] = self.v[s + i - amt];
                     }
                 } else {
-                    for i in 0..vl as usize {
-                        dst[i] = if i + amt < vl as usize {
-                            src[i + amt]
-                        } else {
-                            0
-                        };
+                    for i in 0..n {
+                        self.v[d + i] = if i + amt < n { self.v[s + i + amt] } else { 0 };
                     }
                 }
-                write = Some(RegId::V(vd));
+                out.write = Some(RegId::V(vd));
             }
             Inst::VRGather { vd, vs, idx } => {
-                read(RegId::V(vs), &mut reads);
-                read(RegId::V(idx), &mut reads);
-                let result: Vec<u32> = (0..vl as usize)
-                    .map(|i| {
-                        let j = self.v[idx.index() as usize][i] as usize;
-                        if j < vl as usize {
-                            self.v[vs.index() as usize][j]
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                for (i, r) in result.into_iter().enumerate() {
-                    self.v[vd.index() as usize][i] = r;
+                out.reads[0] = Some(RegId::V(vs));
+                out.reads[1] = Some(RegId::V(idx));
+                let s = self.unaliased(vs, vd, n);
+                let (d, x) = (self.vbase(vd), self.vbase(idx));
+                // Element i reads only element i of `idx`.
+                for i in 0..n {
+                    let j = self.v[x + i] as usize;
+                    self.v[d + i] = if j < n { self.v[s + j] } else { 0 };
                 }
-                write = Some(RegId::V(vd));
+                out.write = Some(RegId::V(vd));
             }
             Inst::VId { vd } => {
-                for i in 0..vl as usize {
-                    self.v[vd.index() as usize][i] = i as u32;
+                let d = self.vbase(vd);
+                for (i, e) in self.v[d..d + n].iter_mut().enumerate() {
+                    *e = i as u32;
                 }
-                write = Some(RegId::V(vd));
+                out.write = Some(RegId::V(vd));
             }
         }
 
         self.pc = next;
-        let seq = self.seq;
         self.seq += 1;
-        Ok(Some(Retired {
-            seq,
-            pc,
-            inst,
-            reads,
-            write,
-            mem,
-            vl,
-            branch,
-            scalar_operand,
-        }))
+        Ok(true)
     }
 
     fn velem_addr(&self, base: u64, stride: VStride, i: usize) -> u64 {
         match stride {
             VStride::Unit => base + i as u64 * 4,
             VStride::Strided(r) => (base as i64 + self.rx(r) * i as i64) as u64,
-            VStride::Indexed(idx) => base + u64::from(self.v[idx.index() as usize][i]),
+            VStride::Indexed(idx) => base + u64::from(self.v[self.vbase(idx) + i]),
         }
     }
 
+    /// The footprint of a vector access at `base`; an indexed one
+    /// also appends its element addresses to `addrs`.
     fn vmem_effect(
         &self,
         base: u64,
         stride: VStride,
         store: bool,
-        reads: &mut [Option<RegId>; 4],
+        addrs: &mut Vec<u64>,
     ) -> MemEffect {
         match stride {
             VStride::Unit => MemEffect::VecUnit {
@@ -676,18 +722,13 @@ impl Interpreter {
                 store,
             },
             VStride::Indexed(idx) => {
-                for slot in reads.iter_mut() {
-                    if slot.is_none() {
-                        *slot = Some(RegId::V(idx));
-                        break;
-                    }
-                }
-                MemEffect::VecIndexed {
-                    addrs: (0..self.vl as usize)
-                        .map(|i| base + u64::from(self.v[idx.index() as usize][i]))
-                        .collect(),
-                    store,
-                }
+                let x = self.vbase(idx);
+                addrs.extend(
+                    self.v[x..x + self.vl as usize]
+                        .iter()
+                        .map(|&e| base + u64::from(e)),
+                );
+                MemEffect::VecIndexed { store }
             }
         }
     }
@@ -700,8 +741,8 @@ impl Interpreter {
     /// [`IsaError::BudgetExhausted`] after 500 M instructions.
     pub fn run_to_halt(&mut self) -> Result<u64, IsaError> {
         const BUDGET: u64 = 500_000_000;
-        while !self.halted {
-            self.step()?;
+        let mut r = Retired::default();
+        while self.step_into(&mut r)? {
             if self.seq >= BUDGET {
                 return Err(IsaError::BudgetExhausted(BUDGET));
             }
@@ -710,18 +751,29 @@ impl Interpreter {
     }
 }
 
-enum OperandValue<'a> {
-    Vec(&'a [u32]),
-    Broadcast(u32),
+/// A vector instruction's second operand: a register's element 0 in
+/// the register file, or one value for every element.
+#[derive(Clone, Copy)]
+enum Operand {
+    Reg(usize),
+    Splat(u32),
 }
 
-impl OperandValue<'_> {
-    fn at(&self, i: usize) -> u32 {
-        match self {
-            OperandValue::Vec(v) => v[i],
-            OperandValue::Broadcast(b) => *b,
-        }
+/// The index register of an indexed access, the last source it reads.
+fn indexed_by(stride: VStride) -> Option<RegId> {
+    match stride {
+        VStride::Indexed(idx) => Some(RegId::V(idx)),
+        VStride::Unit | VStride::Strided(_) => None,
     }
+}
+
+/// The present source registers in order, in a record's four slots.
+fn packed<const N: usize>(regs: [Option<RegId>; N]) -> [Option<RegId>; 4] {
+    let mut out = [None; 4];
+    for (slot, r) in out.iter_mut().zip(regs.into_iter().flatten()) {
+        *slot = Some(r);
+    }
+    out
 }
 
 fn scalar_op(op: ScalarOp, a: i64, b: i64) -> i64 {

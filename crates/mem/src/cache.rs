@@ -15,11 +15,39 @@ counter_slots! {
     }
 }
 
+/// One way of a set, in 24 bytes: the line address with the dirty flag
+/// in its top bit (line addresses never reach it), the LRU stamp, and
+/// when the fill that installed the line lands.
 #[derive(Debug, Clone, Copy)]
 struct TagEntry {
-    line: u64,
-    dirty: bool,
+    word: u64,
     last_used: u64,
+    fill_done: Cycle,
+}
+
+impl TagEntry {
+    const DIRTY: u64 = 1 << 63;
+
+    /// An empty way. Its line never matches a real one, and its LRU
+    /// stamp of 0 is older than any valid way's, so the victim search
+    /// picks the first empty way before evicting.
+    const INVALID: Self = Self {
+        word: u64::MAX,
+        last_used: 0,
+        fill_done: Cycle::ZERO,
+    };
+
+    fn is_valid(self) -> bool {
+        self.word != u64::MAX
+    }
+
+    fn line(self) -> u64 {
+        self.word & !Self::DIRTY
+    }
+
+    fn is_dirty(self) -> bool {
+        self.word & Self::DIRTY != 0
+    }
 }
 
 /// Outcome of a tag lookup plus resource accounting at one level.
@@ -43,15 +71,25 @@ pub struct LevelOutcome {
 /// times, in-flight fills) but no data — the functional interpreter
 /// owns the bytes. This mirrors the paper's split between functional
 /// execution and timing (§VII-A).
+///
+/// A resident line's tag holds its fill completion, so a hit reads it
+/// there. A line evicted before its fill lands keeps that time in the
+/// `evicted` table until it can no longer matter: a miss stamped
+/// before the fill lands (O3 lookups are not time-ordered) coalesces
+/// onto it.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: u64,
-    tags: Vec<Vec<Option<TagEntry>>>,
+    set_mask: u64,
+    bank_mask: u64,
+    ways: usize,
+    /// `sets * ways` entries, set by set.
+    tags: Vec<TagEntry>,
     banks: Vec<Cycle>,
     mshrs: Vec<Cycle>,
-    /// Lines currently being filled: line -> fill completion time.
-    inflight: HashMap<u64, Cycle>,
+    /// Evicted lines whose fill may still be pending for some future
+    /// lookup: line -> fill completion time.
+    evicted: HashMap<u64, Cycle>,
     use_clock: u64,
     ctr: Counters<Ctr>,
 }
@@ -66,13 +104,16 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets().expect("valid cache configuration");
+        let ways = cfg.ways as usize;
         Self {
-            tags: vec![vec![None; cfg.ways as usize]; sets as usize],
+            set_mask: sets - 1,
+            bank_mask: u64::from(cfg.banks) - 1,
+            ways,
+            tags: vec![TagEntry::INVALID; sets as usize * ways],
             banks: vec![Cycle::ZERO; cfg.banks as usize],
             mshrs: vec![Cycle::ZERO; cfg.mshrs as usize],
-            inflight: HashMap::new(),
+            evicted: HashMap::new(),
             use_clock: 0,
-            sets,
             cfg,
             ctr: Counters::new(),
         }
@@ -97,28 +138,26 @@ impl Cache {
         self.ctr.write_to(stats, prefix);
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.sets) as usize
-    }
-
-    fn bank_of(&self, line: u64) -> usize {
-        (line % u64::from(self.cfg.banks)) as usize
+    /// The ways of `line`'s set.
+    fn set_of(&mut self, line: u64) -> &mut [TagEntry] {
+        let first = (line & self.set_mask) as usize * self.ways;
+        &mut self.tags[first..first + self.ways]
     }
 
     /// Claims the line's bank from `now`, returning when the access can
     /// proceed (each access occupies its bank for one cycle).
     fn claim_bank(&mut self, line: u64, now: Cycle) -> Cycle {
-        let b = self.bank_of(line);
-        let start = now.max(self.banks[b]);
-        self.banks[b] = start + Cycle(1);
+        let bank = &mut self.banks[(line & self.bank_mask) as usize];
+        let start = now.max(*bank);
+        *bank = start + Cycle(1);
         start
     }
 
     /// Looks up `addr` at time `now`. On a hit the line's LRU state and
     /// dirtiness are updated. On a miss an MSHR is claimed (waiting for
-    /// a free one if needed); the caller must later call
-    /// [`Cache::fill_slot`] with the claimed slot and the downstream
-    /// completion time.
+    /// a free one if needed); the caller must call [`Cache::fill_slot`]
+    /// with the claimed slot and the downstream completion time before
+    /// its next lookup here.
     ///
     /// A miss to a line already in flight coalesces: reported as a miss
     /// with `ready` equal to the in-flight completion and zero MSHR
@@ -126,26 +165,27 @@ impl Cache {
     pub fn lookup(&mut self, addr: u64, store: bool, now: Cycle) -> LevelOutcome {
         let line = line_of(addr);
         let start = self.claim_bank(line, now);
-        let set = self.set_of(line);
+        let lookup_done = start + Cycle(self.cfg.hit_latency);
         self.use_clock += 1;
         let clock = self.use_clock;
-        if let Some(entry) = self.tags[set].iter_mut().flatten().find(|e| e.line == line) {
+        if let Some(entry) = self.set_of(line).iter_mut().find(|e| e.line() == line) {
             entry.last_used = clock;
-            entry.dirty |= store;
-            self.ctr.incr(Ctr::Hits);
+            if store {
+                entry.word |= TagEntry::DIRTY;
+            }
             // A line whose fill is still in flight cannot deliver until
             // the fill lands.
-            let pending = self.inflight.get(&line).copied().unwrap_or(Cycle::ZERO);
+            let ready = lookup_done.max(entry.fill_done);
+            self.ctr.incr(Ctr::Hits);
             return LevelOutcome {
                 hit: true,
-                ready: (start + Cycle(self.cfg.hit_latency)).max(pending),
+                ready,
                 mshr_wait: Cycle::ZERO,
                 mshr_slot: None,
             };
         }
         self.ctr.incr(Ctr::Misses);
-        let lookup_done = start + Cycle(self.cfg.hit_latency);
-        if let Some(&fill_done) = self.inflight.get(&line) {
+        if let Some(&fill_done) = self.evicted.get(&line) {
             if fill_done > lookup_done {
                 // Genuinely in flight: coalesce onto the pending fill.
                 // Reported as a hit — this level supplies the data
@@ -159,9 +199,8 @@ impl Cache {
                     mshr_slot: None,
                 };
             }
-            // The old fill completed long ago (and the line has since
-            // been evicted): this is a fresh miss.
-            self.inflight.remove(&line);
+            // The old fill completed long ago: this is a fresh miss.
+            self.evicted.remove(&line);
         }
         // Claim the earliest-free MSHR; it stays held until `fill_slot`
         // releases it at the downstream completion time.
@@ -203,32 +242,35 @@ impl Cache {
         slot: usize,
     ) -> Option<u64> {
         let line = line_of(addr);
-        let set = self.set_of(line);
-        self.inflight.insert(line, fill_done);
         self.mshrs[slot] = fill_done;
         self.use_clock += 1;
-        let clock = self.use_clock;
-        // Install: prefer an invalid way, else evict true-LRU.
-        let ways = &mut self.tags[set];
-        let victim = match ways.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map_or(0, |t| t.last_used))
-                .map(|(i, _)| i)
-                .expect("ways nonzero"),
+        let installed = TagEntry {
+            word: if store { line | TagEntry::DIRTY } else { line },
+            last_used: self.use_clock,
+            fill_done,
         };
-        let evicted = ways[victim].filter(|e| e.dirty).map(|e| e.line);
-        ways[victim] = Some(TagEntry {
-            line,
-            dirty: store,
-            last_used: clock,
-        });
-        if evicted.is_some() {
-            self.ctr.incr(Ctr::Writebacks);
+        // Install: prefer an invalid way, else evict true-LRU.
+        let victim = self
+            .set_of(line)
+            .iter_mut()
+            .min_by_key(|e| e.last_used)
+            .expect("ways nonzero");
+        let old = std::mem::replace(victim, installed);
+        if !old.is_valid() {
+            return None;
         }
-        evicted
+        // Every later lookup of the old line starts at or after its
+        // bank's busy time, so a fill landing by then can never be
+        // coalesced onto and need not be kept.
+        let bank_free = self.banks[(old.line() & self.bank_mask) as usize];
+        if old.fill_done > bank_free + Cycle(self.cfg.hit_latency) {
+            self.evicted.insert(old.line(), old.fill_done);
+        }
+        if !old.is_dirty() {
+            return None;
+        }
+        self.ctr.incr(Ctr::Writebacks);
+        Some(old.line())
     }
 
     /// Invalidates every line, returning `(clean, dirty)` line counts —
@@ -236,28 +278,24 @@ impl Cache {
     pub fn invalidate_all(&mut self) -> (u64, u64) {
         let mut clean = 0;
         let mut dirty = 0;
-        for set in &mut self.tags {
-            for way in set.iter_mut() {
-                if let Some(e) = way.take() {
-                    if e.dirty {
-                        dirty += 1;
-                    } else {
-                        clean += 1;
-                    }
+        for way in &mut self.tags {
+            let e = std::mem::replace(way, TagEntry::INVALID);
+            if e.is_valid() {
+                if e.is_dirty() {
+                    dirty += 1;
+                } else {
+                    clean += 1;
                 }
             }
         }
-        self.inflight.clear();
+        self.evicted.clear();
         (clean, dirty)
     }
 
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn resident_lines(&self) -> u64 {
-        self.tags
-            .iter()
-            .map(|s| s.iter().flatten().count() as u64)
-            .sum()
+        self.tags.iter().filter(|e| e.is_valid()).count() as u64
     }
 }
 
@@ -534,11 +572,14 @@ mod tests {
                 banks: 1 << rng.below(2),
             };
             let lines = sets * 2 * (2 + rng.below(3));
+            // Lookups that mostly run ahead of the banks, or queue
+            // behind them.
+            let drift = if rng.chance(0.5) { 24 } else { 16 };
             let mut dut = Cache::new(cfg.clone());
             let mut oracle = Reference::new(cfg);
             let mut now = 0u64;
             for step in 0..400 {
-                now = (now + rng.below(24)).saturating_sub(rng.below(20));
+                now = (now + rng.below(drift)).saturating_sub(rng.below(20));
                 let addr = rng.below(lines) * 64 + rng.below(64);
                 let store = rng.chance(0.3);
                 let at = Cycle(now);
@@ -554,7 +595,8 @@ mod tests {
                     "seed {seed} step {step}"
                 );
                 if let Some(slot) = got.mshr_slot {
-                    let done = got.ready + Cycle(rng.below(300));
+                    let span = if rng.chance(0.5) { 8 } else { 300 };
+                    let done = got.ready + Cycle(rng.below(span));
                     assert_eq!(
                         dut.fill_slot(addr, store, done, slot),
                         oracle.fill_slot(addr, store, done, slot),

@@ -25,13 +25,20 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error unless `size / (ways * 64)` is a power of two
-    /// and all parameters are nonzero.
+    /// Returns an error unless `size / (ways * 64)` and the bank count
+    /// are powers of two and all parameters are nonzero: a line's set
+    /// and bank are masks of its address.
     pub fn sets(&self) -> ConfigResult<u64> {
         if self.ways == 0 || self.mshrs == 0 || self.banks == 0 {
             return Err(ConfigError::new(format!(
                 "cache {}: ways/mshrs/banks must be nonzero",
                 self.name
+            )));
+        }
+        if !self.banks.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "cache {}: bank count {} not a power of two",
+                self.name, self.banks
             )));
         }
         let denom = u64::from(self.ways) * LINE_BYTES;
@@ -236,5 +243,9 @@ mod tests {
         let mut c = CacheConfig::l1d();
         c.size_bytes = 3 * 64 * 4; // 3 sets: not a power of two
         assert!(c.sets().is_err());
+        let mut c = CacheConfig::l2();
+        c.banks = 6;
+        let err = c.sets().unwrap_err();
+        assert_eq!(err.message(), "cache l2: bank count 6 not a power of two");
     }
 }

@@ -16,7 +16,7 @@ use crate::system::SystemKind;
 use eve_common::Cycle;
 use eve_core::EveEngine;
 use eve_cpu::{IoCore, NoVector, O3Core, VectorUnit};
-use eve_isa::{Characterization, Interpreter};
+use eve_isa::{Characterization, Interpreter, Retired};
 use eve_mem::{Hierarchy, HierarchyConfig, SharedLlc};
 use eve_vector::{DecoupledVector, IntegratedVector};
 use eve_workloads::{Built, Workload};
@@ -56,6 +56,8 @@ trait CoreDriver {
 struct Driver<C> {
     built: Built,
     interp: Interpreter,
+    /// The record every step is interpreted into.
+    retired: Retired,
     core: C,
     chars: Characterization,
 }
@@ -71,6 +73,7 @@ impl<C> Driver<C> {
         Self {
             built,
             interp,
+            retired: Retired::default(),
             core,
             chars: Characterization::new(),
         }
@@ -79,14 +82,12 @@ impl<C> Driver<C> {
 
 impl CoreDriver for Driver<IoCore> {
     fn step(&mut self) -> Result<bool, SimError> {
-        match self.interp.step()? {
-            Some(r) => {
-                self.chars.record(&r);
-                self.core.retire(&r)?;
-                Ok(true)
-            }
-            None => Ok(false),
+        if !self.interp.step_into(&mut self.retired)? {
+            return Ok(false);
         }
+        self.chars.record(&self.retired);
+        self.core.retire(&self.retired)?;
+        Ok(true)
     }
 
     fn finish(&mut self, system: SystemKind) -> Result<RunReport, SimError> {
@@ -114,14 +115,12 @@ where
     O3Core<V>: CoreStats<V>,
 {
     fn step(&mut self) -> Result<bool, SimError> {
-        match self.interp.step()? {
-            Some(r) => {
-                self.chars.record(&r);
-                self.core.retire(&r)?;
-                Ok(true)
-            }
-            None => Ok(false),
+        if !self.interp.step_into(&mut self.retired)? {
+            return Ok(false);
         }
+        self.chars.record(&self.retired);
+        self.core.retire(&self.retired)?;
+        Ok(true)
     }
 
     fn finish(&mut self, system: SystemKind) -> Result<RunReport, SimError> {

@@ -23,7 +23,7 @@ use eve_common::json::JsonValue;
 use eve_common::SplitMix64;
 use eve_core::{EveEngine, ResilienceConfig};
 use eve_cpu::O3Core;
-use eve_isa::{Characterization, Inst, Interpreter, VArithOp, VOperand, Vreg};
+use eve_isa::{Characterization, Inst, Interpreter, Retired, VArithOp, VOperand, Vreg};
 use eve_mem::HierarchyConfig;
 use eve_sram::{Binding, DetectionMode, EveArray, FaultConfig, FaultInjector, FaultStats};
 use eve_uop::{HybridConfig, MacroOpKind, ProgramLibrary};
@@ -674,9 +674,12 @@ impl Runner {
         let mut interp = Interpreter::new(built.vector.clone(), built.memory.clone(), hw_vl);
         let mut chars = Characterization::new();
         let mut degraded = false;
+        let mut r = Retired::default();
         loop {
             let prepared = checker.prepare(&interp);
-            let Some(r) = interp.step()? else { break };
+            if !interp.step_into(&mut r)? {
+                break;
+            }
             chars.record(&r);
             core.retire(&r)?;
             if let Some(p) = prepared {
@@ -700,7 +703,7 @@ impl Runner {
             let mut fallback_ops = 0u64;
             loop {
                 let checkable = checker.prepare(&interp).is_some();
-                if interp.step()?.is_none() {
+                if !interp.step_into(&mut r)? {
                     break;
                 }
                 if checkable {

@@ -5,7 +5,7 @@ use crate::system::SystemKind;
 use eve_common::Stats;
 use eve_core::EveEngine;
 use eve_cpu::{EngineError, IoCore, O3Core, VectorUnit};
-use eve_isa::{Characterization, Interpreter, IsaError};
+use eve_isa::{Characterization, Interpreter, IsaError, Retired};
 use eve_mem::HierarchyConfig;
 use eve_obs::Tracer;
 use eve_vector::{DecoupledVector, IntegratedVector};
@@ -119,7 +119,8 @@ impl Runner {
                     core.set_tracer(t);
                 }
                 let mut c = Characterization::new();
-                while let Some(r) = interp.step()? {
+                let mut r = Retired::default();
+                while interp.step_into(&mut r)? {
                     c.record(&r);
                     core.retire(&r)?;
                 }
@@ -144,7 +145,8 @@ impl Runner {
                     core.set_tracer(t);
                 }
                 let mut c = Characterization::new();
-                while let Some(r) = interp.step()? {
+                let mut r = Retired::default();
+                while interp.step_into(&mut r)? {
                     c.record(&r);
                     core.retire(&r)?;
                 }
@@ -220,7 +222,8 @@ impl Runner {
         let hw_vl = core.hw_vl();
         let mut interp = Interpreter::new(built.vector.clone(), built.memory.clone(), hw_vl);
         let mut c = Characterization::new();
-        while let Some(r) = interp.step()? {
+        let mut r = Retired::default();
+        while interp.step_into(&mut r)? {
             c.record(&r);
             core.retire(&r)?;
         }

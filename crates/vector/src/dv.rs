@@ -85,8 +85,8 @@ impl DecoupledVector {
     }
 
     /// Cache-line requests a vector memory instruction generates.
-    fn line_requests(mem: &MemEffect) -> Vec<u64> {
-        let mut lines: Vec<u64> = match mem {
+    fn line_requests(r: &Retired) -> Vec<u64> {
+        let mut lines: Vec<u64> = match &r.mem {
             MemEffect::VecUnit { base, bytes, .. } => {
                 let first = base / LINE_BYTES;
                 let last = (base + bytes.saturating_sub(1)) / LINE_BYTES;
@@ -100,7 +100,7 @@ impl DecoupledVector {
             } => (0..u64::from(*count))
                 .map(|i| ((*base as i64 + stride * i as i64) as u64) / LINE_BYTES)
                 .collect(),
-            MemEffect::VecIndexed { addrs, .. } => addrs.iter().map(|a| a / LINE_BYTES).collect(),
+            MemEffect::VecIndexed { .. } => r.addrs.iter().map(|a| a / LINE_BYTES).collect(),
             _ => Vec::new(),
         };
         // Adjacent duplicates collapse (the VMU guarantees line
@@ -158,7 +158,7 @@ impl VectorUnit for DecoupledVector {
         let completion = match class {
             PipeClass::Memory => {
                 let store = r.mem.is_store();
-                let lines = Self::line_requests(&r.mem);
+                let lines = Self::line_requests(r);
                 self.ctr.add(Ctr::LineRequests, lines.len() as u64);
                 let mut done = start + Cycle(STARTUP);
                 let mut t = start;
@@ -235,6 +235,7 @@ mod tests {
             reads: [None; 4],
             write,
             mem: memeff,
+            addrs: Vec::new(),
             vl,
             branch: None,
             scalar_operand: None,
@@ -436,6 +437,7 @@ mod xe_tests {
             ],
             write: Some(RegId::V(vreg::V3)),
             mem: MemEffect::None,
+            addrs: Vec::new(),
             vl: 64,
             branch: None,
             scalar_operand: None,
@@ -459,6 +461,7 @@ mod xe_tests {
             reads: [Some(RegId::V(vreg::V5)), None, None, None],
             write: Some(RegId::V(vreg::V4)),
             mem: MemEffect::None,
+            addrs: Vec::new(),
             vl: 64,
             branch: None,
             scalar_operand: None,

@@ -51,8 +51,8 @@ impl IntegratedVector {
         start
     }
 
-    fn element_addrs(mem: &MemEffect) -> Vec<u64> {
-        match mem {
+    fn element_addrs(r: &Retired) -> Vec<u64> {
+        match &r.mem {
             MemEffect::VecUnit { base, bytes, .. } => {
                 (0..bytes / 4).map(|i| base + i * 4).collect()
             }
@@ -64,7 +64,7 @@ impl IntegratedVector {
             } => (0..u64::from(*count))
                 .map(|i| (*base as i64 + stride * i as i64) as u64)
                 .collect(),
-            MemEffect::VecIndexed { addrs, .. } => addrs.clone(),
+            MemEffect::VecIndexed { .. } => r.addrs.clone(),
             _ => Vec::new(),
         }
     }
@@ -92,7 +92,7 @@ impl VectorUnit for IntegratedVector {
             PipeClass::Memory => {
                 // Decompose into per-element scalar LSQ operations.
                 let store = r.mem.is_store();
-                let addrs = Self::element_addrs(&r.mem);
+                let addrs = Self::element_addrs(r);
                 self.ctr.add(Ctr::LsqUops, addrs.len() as u64);
                 let mut done = ready;
                 let mut t = ready;
@@ -148,6 +148,7 @@ mod tests {
             reads: [None; 4],
             write: Some(RegId::V(vreg::V1)),
             mem: memeff,
+            addrs: Vec::new(),
             vl,
             branch: None,
             scalar_operand: None,
@@ -266,10 +267,8 @@ mod gather_tests {
             inst: ld,
             reads: [None; 4],
             write: Some(RegId::V(vreg::V1)),
-            mem: MemEffect::VecIndexed {
-                addrs: vec![0x1000, 0x9000, 0x2000, 0x8000],
-                store: false,
-            },
+            mem: MemEffect::VecIndexed { store: false },
+            addrs: vec![0x1000, 0x9000, 0x2000, 0x8000],
             vl: 4,
             branch: None,
             scalar_operand: None,
@@ -300,6 +299,7 @@ mod gather_tests {
                 count: 4,
                 store: false,
             },
+            addrs: Vec::new(),
             vl: 4,
             branch: None,
             scalar_operand: None,

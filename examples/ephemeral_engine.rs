@@ -54,6 +54,7 @@ fn main() {
         ],
         write: Some(RegId::V(vreg::V3)),
         mem: MemEffect::None,
+        addrs: Vec::new(),
         vl: 1024,
         branch: None,
         scalar_operand: None,

@@ -1,12 +1,66 @@
 //! Pins the interpreter's retire stream: every tiny-suite kernel, its
 //! scalar program at hardware vector length 1 and its vector program
 //! at 4, 64 and 2048, hashed record by record (every `Retired` field)
-//! together with the final memory, against a committed fixture.
+//! together with the final memory, against a committed fixture. Then
+//! counts the heap allocations `Interpreter::step_into` makes into a
+//! reused record, under a counting global allocator (this test binary
+//! only).
 
 use eve_common::fnv1a64;
 use eve_isa::{Interpreter, MemEffect, Program, Retired};
 use eve_workloads::{Built, Workload};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
+
+thread_local! {
+    /// Allocations (and reallocations) made on this thread so far.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+fn count() {
+    // A const-initialized `Cell` has no destructor, so this neither
+    // allocates nor fails during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds `GlobalAlloc`'s contract; counting touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `alloc` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `alloc_zeroed` pass through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `realloc` pass through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's guarantees for `dealloc` pass through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -57,7 +111,7 @@ fn record_line(r: &Retired, text: &mut String) -> std::fmt::Result {
             count,
             store,
         } => writeln!(text, "strided {base:#x} {stride} {count} {store}"),
-        MemEffect::VecIndexed { addrs, store } => writeln!(text, "indexed {store} {addrs:x?}"),
+        MemEffect::VecIndexed { store } => writeln!(text, "indexed {store} {:x?}", r.addrs),
     }
 }
 
@@ -102,4 +156,43 @@ fn retire_streams_match_the_pinned_hashes() {
         got, want,
         "retire streams changed; if intentional, regenerate with: {REGEN}"
     );
+}
+
+/// `step_into` with one record reused for every run retires the same
+/// stream as `step` and leaves no stale addresses behind; once a
+/// kernel has run into the record, a second run of it allocates
+/// nothing.
+#[test]
+fn a_reused_record_retires_the_same_stream_without_allocating() {
+    let mut r = Retired::default();
+    let (mut want, mut got) = (String::new(), String::new());
+    for w in Workload::tiny_suite() {
+        let built = w.build();
+        for (label, vector, hw_vl) in RUNS {
+            let run = format!("{} {label} at {hw_vl}", built.name);
+            want.clear();
+            stream_text(&mut interpreter(&built, vector, hw_vl), &mut want);
+            got.clear();
+            let mut interp = interpreter(&built, vector, hw_vl);
+            while interp.step_into(&mut r).expect("kernel runs") {
+                if !matches!(r.mem, MemEffect::VecIndexed { .. }) {
+                    assert!(r.addrs.is_empty(), "{run}: stale addresses at {}", r.seq);
+                }
+                record_line(&r, &mut got).expect("writing to a String cannot fail");
+            }
+            assert!(got == want, "{run}: step_into's stream differs from step's");
+
+            let mut interp = interpreter(&built, vector, hw_vl);
+            let before = allocations();
+            while interp.step_into(&mut r).expect("kernel runs") {}
+            let made = allocations() - before;
+            assert_eq!(
+                made, 0,
+                "{run}: a second run into a reused record allocated"
+            );
+            built
+                .verify(interp.memory())
+                .unwrap_or_else(|e| panic!("{run}: {e}"));
+        }
+    }
 }
