@@ -119,6 +119,22 @@ impl Cache {
         }
     }
 
+    /// Rebuilds the level for `cfg` — every way invalid, banks and
+    /// MSHRs idle — keeping its accumulated statistics: a reconfigured
+    /// L2 still reports the traffic it served before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`CacheConfig::sets`]).
+    pub fn reconfigure(&mut self, cfg: CacheConfig) {
+        let ctr = std::mem::take(&mut self.ctr);
+        *self = Self {
+            ctr,
+            ..Self::new(cfg)
+        };
+    }
+
     /// The level's configuration.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
@@ -408,6 +424,25 @@ mod tests {
         let h2 = c.lookup(4 * 64, false, Cycle(20));
         assert_eq!(h1.ready, Cycle(22));
         assert_eq!(h2.ready, Cycle(23));
+    }
+
+    #[test]
+    fn reconfigure_resets_state_but_keeps_stats() {
+        let mut c = small();
+        miss_fill(&mut c, 0, true, Cycle(0), Cycle(900));
+        assert!(c.lookup(0, false, Cycle(10)).hit);
+        let mut wide = c.config().clone();
+        wide.ways = 4;
+        wide.size_bytes *= 2;
+        c.reconfigure(wide.clone());
+        assert_eq!(c.config(), &wide);
+        assert_eq!(c.resident_lines(), 0);
+        assert!(!c.mshr_full_at(Cycle(0)));
+        let fresh = c.lookup(0, false, Cycle(0));
+        assert!(!fresh.hit);
+        assert_eq!(fresh.ready, Cycle(2), "banks and MSHRs start idle");
+        let s = c.stats();
+        assert_eq!((s.get("hits"), s.get("misses")), (1, 2));
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl Hierarchy {
         const CYCLES_PER_LINE: u64 = 2;
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
-        self.l2 = Cache::new(CacheConfig::l2_vector_mode());
+        self.l2.reconfigure(CacheConfig::l2_vector_mode());
         self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
@@ -250,7 +250,7 @@ impl Hierarchy {
     /// Returns the L2 to cache duty: no overhead, lines start invalid
     /// (§V-E).
     pub fn despawn_vector_mode(&mut self, now: Cycle) -> Cycle {
-        self.l2 = Cache::new(CacheConfig::l2());
+        self.l2.reconfigure(CacheConfig::l2());
         now
     }
 
@@ -268,7 +268,7 @@ impl Hierarchy {
         }
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
-        self.l2 = Cache::new(CacheConfig::l2_with_ways(ways));
+        self.l2.reconfigure(CacheConfig::l2_with_ways(ways));
         self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
@@ -354,6 +354,22 @@ mod tests {
         assert_eq!(back, done);
         assert_eq!(h.cache(Level::L2).config().ways, 8);
         assert_eq!(h.cache(Level::L2).resident_lines(), 0);
+    }
+
+    #[test]
+    fn reconfiguring_the_l2_keeps_its_traffic() {
+        let mut h = hier();
+        for i in 0..16u64 {
+            h.access(Level::L1D, 0x10000 + i * 64, false, Cycle(i * 200));
+        }
+        let l2 = |h: &Hierarchy| h.collect_stats().get("l2.misses");
+        assert_eq!(l2(&h), 16);
+        let done = h.spawn_vector_mode(Cycle(10_000));
+        let done = h.repartition_l2(2, done);
+        h.despawn_vector_mode(done);
+        assert_eq!(l2(&h), 16);
+        h.access(Level::L1D, 0x90000, false, Cycle(20_000));
+        assert_eq!(l2(&h), 17);
     }
 
     #[test]

@@ -362,6 +362,17 @@ mod tests {
             for sys in SystemKind::all() {
                 let r = runner.run(sys, &w).unwrap();
                 assert!(r.cycles.0 > 0, "{sys} on {}", r.workload);
+                // Every L1 miss that did not coalesce looks the L2 up.
+                let s = &r.stats;
+                let l1 = s.get("l1i.misses") + s.get("l1d.misses")
+                    - s.get("l1i.mshr_coalesced")
+                    - s.get("l1d.mshr_coalesced");
+                assert!(
+                    s.get("l2.hits") + s.get("l2.misses") >= l1,
+                    "{sys} on {}: {l1} uncoalesced L1 misses but {} L2 lookups",
+                    r.workload,
+                    s.get("l2.hits") + s.get("l2.misses")
+                );
                 let json = r.to_json().to_compact();
                 let line = format!(
                     "{sys} {} {} {} {:016x}",
