@@ -275,11 +275,16 @@ impl Cache {
         if !old.is_valid() {
             return None;
         }
-        // Every later lookup of the old line starts at or after its
-        // bank's busy time, so a fill landing by then can never be
-        // coalesced onto and need not be kept.
-        let bank_free = self.banks[(old.line() & self.bank_mask) as usize];
-        if old.fill_done > bank_free + Cycle(self.cfg.hit_latency) {
+        // Every later lookup of a line starts at or after its bank's
+        // busy time, which never goes back: a fill landing within a hit
+        // latency of it can no longer be coalesced onto.
+        let (banks, mask, hit) = (&self.banks, self.bank_mask, Cycle(self.cfg.hit_latency));
+        let pending = |line: u64, fill_done: Cycle| fill_done > banks[(line & mask) as usize] + hit;
+        if pending(old.line(), old.fill_done) {
+            // Drop what no longer matters before the table grows.
+            if self.evicted.len() == self.evicted.capacity() {
+                self.evicted.retain(|&line, &mut done| pending(line, done));
+            }
             self.evicted.insert(old.line(), old.fill_done);
         }
         if !old.is_dirty() {
