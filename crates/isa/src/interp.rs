@@ -344,6 +344,7 @@ impl Interpreter {
     /// # Panics
     ///
     /// Panics on out-of-bounds memory accesses (a workload bug).
+    #[inline]
     pub fn step(&mut self) -> Result<Option<Retired>, IsaError> {
         let mut out = Retired::default();
         Ok(self.step_into(&mut out)?.then_some(out))
