@@ -1,11 +1,13 @@
 //! The functional interpreter and its committed-instruction stream.
 //!
-//! [`Interpreter::step`] executes one instruction and returns a
+//! [`Interpreter::step_into`] executes one instruction into a
 //! [`Retired`] record describing everything a timing model needs:
 //! source/destination registers (for dependence tracking), the memory
 //! footprint (for the cache hierarchy), the branch outcome (for branch
-//! predictors), and the active vector length. Architectural state is
-//! updated exactly; timing is someone else's job.
+//! predictors), and the active vector length. The caller owns the
+//! record and reuses it, so a step copies and allocates nothing;
+//! [`Interpreter::step`] returns a fresh one instead. Architectural
+//! state is updated exactly; timing is someone else's job.
 
 use crate::asm::Program;
 use crate::inst::{
@@ -300,15 +302,6 @@ impl Interpreter {
         }
     }
 
-    /// The `.vx`/`.vi` value a vector instruction's operand resolves to.
-    fn scalar_operand(&self, rhs: VOperand) -> Option<u32> {
-        match rhs {
-            VOperand::Scalar(x) => Some(self.rx(x) as u32),
-            VOperand::Imm(i) => Some(i as u32),
-            VOperand::Reg(_) => None,
-        }
-    }
-
     fn operand_read(rhs: VOperand) -> Option<RegId> {
         match rhs {
             VOperand::Reg(v) => Some(RegId::V(v)),
@@ -548,8 +541,8 @@ impl Interpreter {
                     masked.then_some(RegId::V(Vreg::new(0))),
                     macc.then_some(RegId::V(vd)),
                 ]);
-                out.scalar_operand = self.scalar_operand(rhs);
                 let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                out.scalar_operand = b.splat();
                 // Element i reads only element i of each source, so the
                 // destination is written in place.
                 for i in 0..n {
@@ -567,8 +560,8 @@ impl Interpreter {
             }
             Inst::VCmp { cond, vd, vs1, rhs } => {
                 out.reads = packed([Some(RegId::V(vs1)), Self::operand_read(rhs)]);
-                out.scalar_operand = self.scalar_operand(rhs);
                 let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                out.scalar_operand = b.splat();
                 for i in 0..n {
                     self.v[d + i] = u32::from(vcmp(cond, self.v[a + i], self.at(b, i)));
                 }
@@ -580,8 +573,8 @@ impl Interpreter {
                     Self::operand_read(rhs),
                     Some(RegId::V(Vreg::new(0))),
                 ]);
-                out.scalar_operand = self.scalar_operand(rhs);
                 let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                out.scalar_operand = b.splat();
                 for i in 0..n {
                     self.v[d + i] = if self.masked_off(i) {
                         self.at(b, i)
@@ -612,8 +605,8 @@ impl Interpreter {
             }
             Inst::VMv { vd, rhs } => {
                 out.reads = packed([Self::operand_read(rhs)]);
-                out.scalar_operand = self.scalar_operand(rhs);
                 let (d, b) = (self.vbase(vd), self.operand(rhs));
+                out.scalar_operand = b.splat();
                 for i in 0..n {
                     self.v[d + i] = self.at(b, i);
                 }
@@ -758,6 +751,16 @@ impl Interpreter {
 enum Operand {
     Reg(usize),
     Splat(u32),
+}
+
+impl Operand {
+    /// The resolved `.vx`/`.vi` value, for [`Retired::scalar_operand`].
+    fn splat(self) -> Option<u32> {
+        match self {
+            Operand::Splat(v) => Some(v),
+            Operand::Reg(_) => None,
+        }
+    }
 }
 
 /// The index register of an indexed access, the last source it reads.
