@@ -282,7 +282,8 @@ impl Interpreter {
         r.index() as usize * self.hw_vl as usize
     }
 
-    /// Element `i` of `v0`'s mask bit is clear: the lane is inactive.
+    /// Whether lane `i` is masked off: bit 0 of `v0`'s element `i` is
+    /// clear.
     fn masked_off(&self, i: usize) -> bool {
         self.v[i] & 1 == 0
     }
