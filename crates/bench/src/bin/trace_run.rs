@@ -2,13 +2,12 @@
 //! <https://ui.perfetto.dev>), then audit the stall attribution.
 //!
 //! ```sh
-//! cargo run --release -p eve-bench --features obs --bin trace_run -- \
+//! cargo run --release -p eve-bench --bin trace_run -- \
 //!     --kernel vvadd --system eve8 --out trace.json
 //! ```
 //!
-//! Exits nonzero if the trace fails the attribution audit, if the
-//! exported JSON does not parse, or if the binary was built without
-//! the `obs` feature (there would be nothing to export).
+//! Exits nonzero if the trace fails the attribution audit or if the
+//! exported JSON does not parse.
 
 use eve_common::json::JsonValue;
 use eve_obs::{chrome_trace, Tracer};
@@ -40,14 +39,6 @@ fn usage_exit(msg: &str) -> ! {
 }
 
 fn main() {
-    if !cfg!(feature = "obs") {
-        eprintln!(
-            "trace_run was built without trace emission; rebuild with\n\
-             cargo run --release -p eve-bench --features obs --bin trace_run"
-        );
-        std::process::exit(1);
-    }
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut kernel = "vvadd".to_string();
     let mut system = "eve8".to_string();

@@ -13,12 +13,10 @@ use eve_uop::{HybridConfig, LatencyTable, MacroOpKind};
 use std::collections::VecDeque;
 
 /// Static track names for the first DTUs; higher slots share "dtu".
-#[cfg(feature = "obs")]
 const DTU_TRACKS: [&str; 8] = [
     "dtu0", "dtu1", "dtu2", "dtu3", "dtu4", "dtu5", "dtu6", "dtu7",
 ];
 
-#[cfg(feature = "obs")]
 fn dtu_track(slot: usize) -> &'static str {
     DTU_TRACKS.get(slot).copied().unwrap_or("dtu")
 }
@@ -194,7 +192,6 @@ pub struct EveEngine {
     /// Reused scratch for per-instruction line-request lists, so the
     /// retire hot path allocates nothing.
     line_buf: Vec<u64>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
 
@@ -378,12 +375,9 @@ impl EveEngine {
     /// auditor replays (see `eve-sim`'s audit module).
     #[inline]
     fn trace_vsu(&self, cat: &'static str, name: &'static str, ts: Cycle, dur: Cycle) {
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.span("vsu", cat, name, ts.0, dur.0);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (cat, name, ts, dur);
     }
 
     /// Advances the VSU timeline to `t`, attributing the gap to the
@@ -472,7 +466,6 @@ impl EveEngine {
         let a = mem.access(Level::Llc, line * LINE_BYTES, store, issued);
         self.llc_issue_stall += a.mshr_wait;
         self.ctr.incr(Ctr::LineRequests);
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             let cat = if store { "store" } else { "load" };
             tr.instant_arg(
@@ -529,7 +522,6 @@ impl EveEngine {
                 self.dtu_rr = (self.dtu_rr + 1) % self.dtu_free.len();
                 let start = complete.max(self.dtu_free[slot]);
                 self.dtu_free[slot] = start + Cycle(dt);
-                #[cfg(feature = "obs")]
                 if let Some(tr) = &self.tracer {
                     tr.span(dtu_track(slot), "transpose", "line", start.0, dt);
                 }
@@ -596,7 +588,6 @@ impl EveEngine {
             self.dtu_rr = (self.dtu_rr + 1) % self.dtu_free.len();
             let start = self.vsu_now.max(self.dtu_free[slot]);
             self.dtu_free[slot] = start + Cycle(dt);
-            #[cfg(feature = "obs")]
             if let Some(tr) = &self.tracer {
                 tr.span(dtu_track(slot), "detranspose", "line", start.0, dt);
             }
@@ -650,7 +641,6 @@ impl EveEngine {
             _ => Cycle(self.tuning.vru_pipeline),
         };
         let done = self.vsu_now + pipeline;
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             // The VRU drains off the VSU timeline; its own track shows
             // the pipeline occupancy (starts follow in-order issue).
@@ -684,7 +674,6 @@ impl EveEngine {
             self.breakdown.busy += total;
             // Extra-pipe work runs off the attributed VSU timeline, so
             // it gets its own (untiled) track.
-            #[cfg(feature = "obs")]
             if let Some(tr) = &self.tracer {
                 tr.span("vsu_extra", "busy", "uprog", start.0, total.0);
             }

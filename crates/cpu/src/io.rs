@@ -42,7 +42,6 @@ pub struct IoCore {
     store_buf: VecDeque<Cycle>,
     fetch_line: u64,
     ctr: Counters<Ctr>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
 
@@ -79,7 +78,7 @@ impl IoCore {
     }
 
     /// Attaches a tracer to the core and its hierarchy. Stalls then
-    /// emit instants on the `io` track (when built with `obs`).
+    /// emit spans on the `io` track.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.mem.set_tracer(tracer);
         self.tracer = Some(tracer.clone());
@@ -106,7 +105,6 @@ impl IoCore {
             self.fetch_line = line;
             let f = self.mem.access(Level::L1I, fetch_addr, false, self.now);
             if f.hit_level != Level::L1I {
-                #[cfg(feature = "obs")]
                 if let Some(tr) = &self.tracer {
                     let stall = f.complete.saturating_since(self.now).0;
                     tr.span("io", "icache_stall", "icache", self.now.0, stall);
@@ -126,7 +124,6 @@ impl IoCore {
             ) => {
                 let a = self.mem.access(Level::L1D, *addr, false, self.now);
                 let stall = a.complete.saturating_since(self.now);
-                #[cfg(feature = "obs")]
                 if let Some(tr) = &self.tracer {
                     tr.span("io", "load_stall", "load", self.now.0, stall.0);
                     tr.record("io.load_stall", stall.0);
@@ -152,7 +149,6 @@ impl IoCore {
                 if self.store_buf.len() >= STORE_BUFFER {
                     let free_at = *self.store_buf.front().expect("nonempty");
                     let stall = free_at.saturating_since(self.now);
-                    #[cfg(feature = "obs")]
                     if let Some(tr) = &self.tracer {
                         tr.span(
                             "io",

@@ -77,7 +77,6 @@ pub struct O3Core<V: VectorUnit = NoVector> {
     bp: BranchPredictor,
     end: Cycle,
     ctr: Counters<Ctr>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
 
@@ -124,7 +123,7 @@ impl<V: VectorUnit> O3Core<V> {
 
     /// Attaches a tracer to the core, its hierarchy, and its vector
     /// unit. Retired instructions then emit dispatch→commit spans on
-    /// the `o3` track (when built with the `obs` feature).
+    /// the `o3` track.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.mem.set_tracer(tracer);
         self.vu.attach_tracer(tracer);
@@ -279,7 +278,6 @@ impl<V: VectorUnit> O3Core<V> {
 
         // In-order commit.
         let ct = completion.max(self.last_commit).max(commit_floor);
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             let cat = if r.inst.is_vector() {
                 "vector"

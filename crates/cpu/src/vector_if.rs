@@ -122,7 +122,7 @@ pub trait VectorUnit {
 
     /// Hands the unit a tracer handle so it can emit structured trace
     /// events. The default is a no-op: units without instrumentation
-    /// (or builds without the `obs` feature) ignore it.
+    /// ignore it.
     fn attach_tracer(&mut self, _tracer: &Tracer) {}
 }
 

@@ -65,7 +65,6 @@ pub struct Hierarchy {
     l2: Cache,
     shared: SharedLlc,
     ctr: Counters<Ctr>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
 
@@ -93,7 +92,7 @@ impl Hierarchy {
     }
 
     /// Attaches a tracer; memory accesses then emit instants on the
-    /// `mem` track (when built with the `obs` feature).
+    /// `mem` track.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
     }
@@ -149,7 +148,6 @@ impl Hierarchy {
                 self.writeback_below(lv, line * crate::LINE_BYTES, t);
             }
         }
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             // Stamp at the *request* time: completions are out of order
             // under an O3 core, so request order keeps the track usable.
@@ -234,7 +232,6 @@ impl Hierarchy {
         self.shared.spawn_flush(dirty, now);
         self.l2.reconfigure(CacheConfig::l2_vector_mode());
         self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
                 "mem",
@@ -270,7 +267,6 @@ impl Hierarchy {
         self.shared.spawn_flush(dirty, now);
         self.l2.reconfigure(CacheConfig::l2_with_ways(ways));
         self.ctr.add(Ctr::L2ReconfigLines, clean + dirty);
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
                 "mem",

@@ -13,9 +13,9 @@
 //!   without bound; auditors refuse lossy traces.
 //! - [`Tracer`]: a cheaply-cloneable shared handle (the same
 //!   `Rc<RefCell<…>>` idiom as `SharedLlc`) threaded through the cores,
-//!   hierarchy, and engines. Emission is feature-gated at every call
-//!   site (`obs` in the consumer crates), so the hot path compiles to
-//!   nothing when tracing is off.
+//!   hierarchy, and engines. Each model keeps an `Option<Tracer>` and
+//!   every emit site checks it, so an untraced run pays one branch per
+//!   site and builds no event.
 //! - [`CounterRegistry`]: named counters and log2 histograms that
 //!   serialize next to `StallBreakdown` in run reports.
 //! - [`chrome_trace`]: a Chrome trace-event (`chrome://tracing` /

@@ -8,9 +8,9 @@
 //! breakdown.total() + spawn_cycles == vsu.end_cycles <= report.cycles
 //! ```
 //!
-//! and, when the `obs` feature traced the run, the `vsu` track's spans
-//! tile `[spawn_start, vsu_end)` contiguously with per-category sums
-//! that re-derive the breakdown. Generic trace invariants (bounds,
+//! and, when the run was traced, the `vsu` track's spans tile
+//! `[spawn_start, vsu_end)` contiguously with per-category sums that
+//! re-derive the breakdown. Generic trace invariants (bounds,
 //! monotonicity, lossless buffer) come from [`eve_obs::audit`].
 
 use crate::report::RunReport;
@@ -67,8 +67,8 @@ impl From<AuditError> for AuditFailure {
 pub struct AuditSummary {
     /// Events replayed.
     pub events: usize,
-    /// The tiled `vsu` timeline; all-zero when the run was not traced
-    /// (obs feature off) or the system has no engine.
+    /// The tiled `vsu` timeline; all-zero when no tracer was attached
+    /// to the run or the system has no engine.
     pub vsu: TrackTiling,
     /// Cycles between spawn commit and reconfiguration completing.
     pub spawn_cycles: u64,
@@ -130,8 +130,8 @@ pub fn audit_run(tracer: &Tracer, report: &RunReport) -> Result<AuditSummary, Au
             )));
         }
         // Span-level re-derivation. Extra exec pipes overlap μprograms
-        // with the main timeline, so only the 1-pipe engine tiles; an
-        // untraced run (obs off) has no spans to replay.
+        // with the main timeline, so only the 1-pipe engine tiles; a
+        // run without the tracer attached has no spans to replay.
         if report.stats.get("exec_pipes") <= 1 && vsu.spans > 0 {
             tiled = true;
             if vsu.start != vsu_start {
@@ -191,12 +191,9 @@ mod tests {
     fn eve_run_passes_the_audit() {
         let (tracer, report) = traced(SystemKind::EveN(8));
         let s = audit_run(&tracer, &report).unwrap();
-        assert_eq!(s.tiled, cfg!(feature = "obs"));
-        #[cfg(feature = "obs")]
-        {
-            assert!(s.events > 0);
-            assert_eq!(s.vsu.total(), s.vsu.end - s.vsu.start);
-        }
+        assert!(s.tiled);
+        assert!(s.events > 0);
+        assert_eq!(s.vsu.total(), s.vsu.end - s.vsu.start);
     }
 
     #[test]
@@ -241,7 +238,7 @@ mod tests {
         assert!(b.remap_stall.0 > 0, "the remap must be charged");
         assert!(b.scrub_stall.0 > 0, "background sweeps must be charged");
         let s = audit_run(&tracer, &report).unwrap();
-        assert_eq!(s.tiled, cfg!(feature = "obs"));
+        assert!(s.tiled);
     }
 
     /// Shifts a stats counter by `by`.
@@ -257,24 +254,21 @@ mod tests {
     }
 
     /// Each row cooks a traced EVE-8 vvadd report and names the check
-    /// that must reject it. The span-only rows keep the stats identity
-    /// balanced, so only the span re-derivation (which needs `obs`)
-    /// sees them; without `obs` they must pass.
+    /// that must reject it. The last four keep the stats identity
+    /// balanced, so only the span re-derivation sees them.
     #[test]
     fn a_cooked_timeline_fails_the_identity() {
         type Cook = fn(&mut RunReport);
-        let rows: [(&str, Cook, &str, bool); 6] = [
+        let rows: [(&str, Cook, &str); 6] = [
             (
                 "vsu.end_cycles + 1",
                 |r| bump(r, "vsu.end_cycles", 1),
                 "start + spawn + breakdown.total()",
-                false,
             ),
             (
                 "cycles below the timeline end",
                 |r| r.cycles.0 = r.stats.get("vsu.end_cycles") - 1,
                 "past run end",
-                false,
             ),
             (
                 "one busy cycle moved to dep_stall",
@@ -283,7 +277,6 @@ mod tests {
                     breakdown(r).dep_stall.0 += 1;
                 },
                 "bucket busy",
-                true,
             ),
             (
                 "spawn_commit_cycle and vsu.end_cycles + 1",
@@ -292,7 +285,6 @@ mod tests {
                     bump(r, "vsu.end_cycles", 1);
                 },
                 "replayed vsu spans start at",
-                true,
             ),
             (
                 "vsu.end_cycles and busy + 1",
@@ -301,7 +293,6 @@ mod tests {
                     breakdown(r).busy.0 += 1;
                 },
                 "replayed vsu spans end at",
-                true,
             ),
             (
                 "spawn_cycles + 1, busy - 1",
@@ -310,19 +301,13 @@ mod tests {
                     breakdown(r).busy.0 -= 1;
                 },
                 "replayed spawn span",
-                true,
             ),
         ];
         let (tracer, report) = traced(SystemKind::EveN(8));
-        for (what, cook, check, span_only) in rows {
+        for (what, cook, check) in rows {
             let mut cooked = report.clone();
             cook(&mut cooked);
-            let verdict = audit_run(&tracer, &cooked);
-            if span_only && !cfg!(feature = "obs") {
-                assert!(verdict.is_ok(), "{what}: stats identity must balance");
-                continue;
-            }
-            let err = verdict.expect_err(what);
+            let err = audit_run(&tracer, &cooked).expect_err(what);
             assert!(err.to_string().contains(check), "{what}: {err}");
         }
     }

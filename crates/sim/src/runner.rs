@@ -70,9 +70,10 @@ impl Runner {
     }
 
     /// A runner that attaches `tracer` to every core, hierarchy, and
-    /// vector unit it builds. With the `obs` feature the run then
-    /// fills the tracer's event buffer and registry; without it the
-    /// handle is carried but nothing is emitted.
+    /// vector unit it builds, so each run fills the tracer's event
+    /// buffer and registry and its report carries the registry. Give
+    /// each run a fresh tracer: the audit and the report's counters
+    /// read everything the tracer holds.
     #[must_use]
     pub fn with_tracer(tracer: &Tracer) -> Self {
         Self {

@@ -42,12 +42,10 @@ pub mod array;
 pub mod ecc;
 pub mod fault;
 pub mod geometry;
-#[cfg(any(test, feature = "scalar-oracle"))]
 pub mod scalar;
 
 pub use array::{Binding, DetectionMode, EveArray, ScrubStats};
 pub use ecc::{SecdedCode, SecdedVerdict};
 pub use fault::{Fault, FaultConfig, FaultInjector, FaultKind, FaultLayer, FaultStats};
 pub use geometry::{LayoutModel, SramGeometry, DEFAULT_SPARE_ROWS};
-#[cfg(any(test, feature = "scalar-oracle"))]
 pub use scalar::ScalarArray;

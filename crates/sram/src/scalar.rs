@@ -9,8 +9,6 @@
 //! (random μprograms × every `HybridConfig`, with and without armed
 //! fault injectors) to prove the packed executor bit-exact, and
 //! `hotpath_timing` measures the speedup against it.
-//!
-//! Compiled only for tests and under the `scalar-oracle` feature.
 
 // Lane loops index several parallel per-lane state vectors in lock-step,
 // mirroring the physical column groups; iterator zips would obscure that.

@@ -44,7 +44,6 @@ pub struct DecoupledVector {
     idle_at: Cycle,
     tlb: Tlb,
     ctr: Counters<Ctr>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
 
@@ -64,7 +63,6 @@ impl DecoupledVector {
         }
     }
 
-    #[cfg(feature = "obs")]
     fn pipe_name(class: PipeClass) -> &'static str {
         match class {
             PipeClass::Simple => "simple",
@@ -189,7 +187,6 @@ impl VectorUnit for DecoupledVector {
         }
         self.idle_at = self.idle_at.max(completion);
         self.queue_done.push_back(completion);
-        #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             // Issue is in order, so starts are monotone on the track.
             let pipe_cat = Self::pipe_name(class);

@@ -5,7 +5,6 @@
 //! replays each event stream and asserts the accounting identity —
 //! every engine cycle lands in exactly one breakdown bucket, ordered
 //! tracks never run backwards, and no event outlives the run.
-#![cfg(feature = "obs")]
 
 use eve_obs::Tracer;
 use eve_sim::{audit_run, Runner, SystemKind};

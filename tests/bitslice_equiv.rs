@@ -2,9 +2,8 @@
 //! lane-serial scalar oracle.
 //!
 //! `EveArray` packs the lane dimension into u64 bit-planes and executes
-//! μops as word-parallel boolean algebra; `ScalarArray` (the
-//! `scalar-oracle` feature) keeps the original one-lane-at-a-time
-//! executor. The two must be indistinguishable through the public API —
+//! μops as word-parallel boolean algebra; `ScalarArray` keeps the
+//! original one-lane-at-a-time executor. The two must be indistinguishable through the public API —
 //! register contents, data-out port, cycle counts, parity alarms, and
 //! fault-injector consumption — for *any* μop sequence, not just the
 //! library programs. This harness throws seeded-random μprograms (raw

@@ -4,7 +4,6 @@
 //! bench bins, the trace exporter, and downstream plotting all read
 //! it. Any key added, removed, renamed, or reordered must show up
 //! here as a conscious fixture regeneration, not a silent drift.
-#![cfg(feature = "obs")]
 
 use eve::serve::{
     ClusterConfig, ClusterSim, ClusterTraffic, ElasticPolicy, FaultStorm, NetPolicy, ServiceProfile,
@@ -19,7 +18,7 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/report_schema.json"
 );
 
-const REGEN: &str = "EVE_UPDATE_FIXTURES=1 cargo test --features obs --test report_schema";
+const REGEN: &str = "EVE_UPDATE_FIXTURES=1 cargo test --test report_schema";
 
 /// A small deterministic elastic cluster run: pins the
 /// `ClusterReport` schema including the elastic counter block and the
