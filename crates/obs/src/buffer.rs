@@ -59,6 +59,12 @@ impl TraceBuffer {
         self.dropped
     }
 
+    /// Discards every buffered event and the drop count.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+        self.dropped = 0;
+    }
+
     /// Iterates the buffered events in emission order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()

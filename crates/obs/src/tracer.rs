@@ -180,6 +180,14 @@ impl Tracer {
     pub fn registry(&self) -> CounterRegistry {
         self.inner.borrow().reg.clone()
     }
+
+    /// Discards the buffered events, the drop count and the registry,
+    /// so this handle and every clone of it read as a fresh tracer.
+    pub fn clear(&self) {
+        let mut state = self.inner.borrow_mut();
+        state.buf.clear();
+        state.reg = CounterRegistry::new();
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +209,20 @@ mod tests {
         let t = Tracer::with_capacity(4);
         t.span("vsu", "busy", "busy", 7, 0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn clear_starts_every_clone_over() {
+        let a = Tracer::with_capacity(1);
+        let b = a.clone();
+        a.span("vsu", "busy", "busy", 0, 5);
+        a.span("vsu", "busy", "busy", 5, 5);
+        a.count("x", 2);
+        assert_eq!(a.dropped(), 1);
+        b.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.dropped(), 0);
+        assert!(a.registry().is_empty());
     }
 
     #[test]

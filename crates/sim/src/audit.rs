@@ -241,6 +241,53 @@ mod tests {
         assert!(s.tiled);
     }
 
+    /// A traced fault run that stays on the engine reports the
+    /// tracer's counters, as every other traced run does.
+    #[test]
+    fn a_traced_fault_run_reports_its_counters() {
+        use crate::fault::RecoveryPolicy;
+        use eve_sram::FaultConfig;
+
+        let tracer = Tracer::new();
+        let report = Runner::with_tracer(&tracer)
+            .run_faulty(
+                8,
+                &Workload::vvadd(512),
+                FaultConfig::none(7),
+                RecoveryPolicy::default(),
+            )
+            .unwrap();
+        assert!(audit_run(&tracer, &report).unwrap().tiled);
+        let counters = report.counters.expect("a traced run reports counters");
+        assert!(!counters.is_empty());
+        assert_eq!(counters, tracer.registry());
+    }
+
+    /// A degraded run reports the O3+DV rerun, so its trace and
+    /// counters must be that rerun's alone: not the abandoned EVE
+    /// attempt's followed by a rerun that starts again at cycle 0.
+    #[test]
+    fn a_degraded_traced_run_traces_only_its_fallback() {
+        use crate::fault::{FaultOutcome, RecoveryPolicy};
+        use eve_sram::{Fault, FaultConfig};
+
+        let mut cfg = FaultConfig::none(7);
+        cfg.scripted.push(Fault::stuck_at(1, 0, 5, true));
+        let tracer = Tracer::new();
+        let report = Runner::with_tracer(&tracer)
+            .run_faulty(32, &Workload::vvadd(512), cfg, RecoveryPolicy::default())
+            .unwrap();
+        let resilience = report.resilience.as_ref().expect("resilience verdict");
+        assert_eq!(resilience.outcome, FaultOutcome::DetectedDegraded);
+        assert_eq!(report.system, SystemKind::O3Dv);
+        audit_run(&tracer, &report).unwrap();
+
+        let (rerun_tracer, rerun) = traced(SystemKind::O3Dv);
+        assert_eq!(tracer.events(), rerun_tracer.events());
+        assert!(rerun.counters.is_some());
+        assert_eq!(report.counters, rerun.counters);
+    }
+
     /// Shifts a stats counter by `by`.
     fn bump(r: &mut RunReport, key: &str, by: i64) {
         let v = r.stats.get(key);

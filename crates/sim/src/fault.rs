@@ -613,6 +613,35 @@ impl ShadowChecker {
     pub fn fault_stats(&self) -> FaultStats {
         self.arr.injector().map(|i| *i.stats()).unwrap_or_default()
     }
+
+    /// The run's resilience verdict from this checker's tallies.
+    /// `fallback_ops` counts the checkable ops a degraded run left to
+    /// the fallback, for the availability metric.
+    fn resilience(
+        &self,
+        outcome: FaultOutcome,
+        fallback_ops: u64,
+        verified: bool,
+        degraded_from: Option<SystemKind>,
+    ) -> ResilienceReport {
+        ResilienceReport {
+            outcome,
+            checked_ops: self.checked_ops,
+            parity_alarms: self.parity_alarms,
+            corrected: self.corrected,
+            retries: self.retries,
+            remapped_rows: self.remapped_rows,
+            ways_disabled: self.ways_disabled,
+            scrubs: self.scrubs,
+            scrub_corrected: self.scrub_corrected,
+            corrupted_lanes: self.corrupted_lanes,
+            stages: self.stages,
+            availability: availability(self, fallback_ops),
+            fault_stats: self.fault_stats(),
+            verified,
+            degraded_from,
+        }
+    }
 }
 
 impl Runner {
@@ -712,24 +741,19 @@ impl Runner {
             }
             let now = core.finish();
             core.hierarchy_mut().despawn_vector_mode(now);
+            // The report describes the O3+DV rerun, which starts again
+            // at cycle 0: drop the abandoned attempt's events and
+            // counters so the trace describes that rerun alone.
+            if let Some(t) = self.tracer() {
+                t.clear();
+            }
             let mut fallback = self.run_with_memory(SystemKind::O3Dv, workload, mem_cfg)?;
-            fallback.resilience = Some(ResilienceReport {
-                outcome: FaultOutcome::DetectedDegraded,
-                checked_ops: checker.checked_ops,
-                parity_alarms: checker.parity_alarms,
-                corrected: checker.corrected,
-                retries: checker.retries,
-                remapped_rows: checker.remapped_rows,
-                ways_disabled: checker.ways_disabled,
-                scrubs: checker.scrubs,
-                scrub_corrected: checker.scrub_corrected,
-                corrupted_lanes: checker.corrupted_lanes,
-                stages: checker.stages,
-                availability: availability(&checker, fallback_ops),
-                fault_stats: checker.fault_stats(),
-                verified: true,
-                degraded_from: Some(SystemKind::EveN(n)),
-            });
+            fallback.resilience = Some(checker.resilience(
+                FaultOutcome::DetectedDegraded,
+                fallback_ops,
+                true,
+                Some(SystemKind::EveN(n)),
+            ));
             return Ok(fallback);
         }
 
@@ -748,35 +772,17 @@ impl Runner {
         } else {
             FaultOutcome::Masked
         };
-        let system = SystemKind::EveN(n);
-        Ok(RunReport {
-            system,
-            workload: built.name,
-            wall_ps: cycles.to_picos(system.cycle_time()),
+        let mut report = self.report(
+            SystemKind::EveN(n),
+            built.name,
             cycles,
-            dyn_insts: interp.retired_count(),
-            stats: core.stats(),
-            characterization: chars,
-            breakdown: core.breakdown(),
-            resilience: Some(ResilienceReport {
-                outcome,
-                checked_ops: checker.checked_ops,
-                parity_alarms: checker.parity_alarms,
-                corrected: checker.corrected,
-                retries: checker.retries,
-                remapped_rows: checker.remapped_rows,
-                ways_disabled: checker.ways_disabled,
-                scrubs: checker.scrubs,
-                scrub_corrected: checker.scrub_corrected,
-                corrupted_lanes: checker.corrupted_lanes,
-                stages: checker.stages,
-                availability: availability(&checker, 0),
-                fault_stats: checker.fault_stats(),
-                verified,
-                degraded_from: None,
-            }),
-            counters: None,
-        })
+            interp.retired_count(),
+            core.stats(),
+            chars,
+            core.breakdown(),
+        );
+        report.resilience = Some(checker.resilience(outcome, 0, verified, None));
+        Ok(report)
     }
 }
 

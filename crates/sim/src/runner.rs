@@ -245,7 +245,7 @@ impl Runner {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn report(
+    pub(crate) fn report(
         &self,
         system: SystemKind,
         workload: &'static str,
