@@ -1,50 +1,48 @@
-//! The stall-attribution auditor over the whole Table IV suite.
+//! The stall-attribution auditor over the whole tiny suite.
 //!
-//! Every workload runs traced at small size under an in-order core, a
-//! decoupled vector baseline, and EVE design points; the auditor then
+//! Every workload runs traced on every system; the auditor then
 //! replays each event stream and asserts the accounting identity —
 //! every engine cycle lands in exactly one breakdown bucket, ordered
-//! tracks never run backwards, and no event outlives the run.
+//! tracks never run backwards, and no event outlives the run. Each
+//! cell also runs untraced, and tracing must only observe: the two
+//! reports serialize identically once the traced counters are set
+//! aside.
 
 use eve_obs::Tracer;
 use eve_sim::{audit_run, Runner, SystemKind};
 use eve_workloads::Workload;
 
-const SYSTEMS: [SystemKind; 4] = [
-    SystemKind::Io,
-    SystemKind::O3Dv,
-    SystemKind::EveN(8),
-    SystemKind::EveN(32),
-];
-
 #[test]
 fn every_workload_passes_the_attribution_audit() {
     for w in Workload::tiny_suite() {
-        for sys in SYSTEMS {
+        for sys in SystemKind::all() {
+            let cell = format!("{sys} on {}", w.name());
             let tracer = Tracer::new();
-            let report = Runner::with_tracer(&tracer)
+            let mut report = Runner::with_tracer(&tracer)
                 .run(sys, &w)
-                .unwrap_or_else(|e| panic!("{sys} on {}: {e}", w.name()));
-            let summary = audit_run(&tracer, &report)
-                .unwrap_or_else(|e| panic!("{sys} on {}: {e}", w.name()));
-            assert!(
-                summary.events > 0,
-                "{sys} on {}: traced run emitted nothing",
-                w.name()
-            );
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let summary = audit_run(&tracer, &report).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(summary.events > 0, "{cell}: traced run emitted nothing");
             if report.breakdown.is_some() {
                 assert!(
                     summary.tiled,
-                    "{sys} on {}: engine run did not tile its timeline",
-                    w.name()
+                    "{cell}: engine run did not tile its timeline"
                 );
                 assert_eq!(
                     summary.vsu.total(),
                     summary.vsu.end - summary.vsu.start,
-                    "{sys} on {}: tiling is not contiguous",
-                    w.name()
+                    "{cell}: tiling is not contiguous"
                 );
             }
+            let untraced = Runner::new()
+                .run(sys, &w)
+                .unwrap_or_else(|e| panic!("{cell} untraced: {e}"));
+            report.counters = None;
+            assert_eq!(
+                report.to_json().to_compact(),
+                untraced.to_json().to_compact(),
+                "{cell}: tracing changed the report"
+            );
         }
     }
 }
