@@ -1,4 +1,4 @@
-//! Parsing: the inverse of [`disasm`](crate::disasm) — every textual
+//! Parsing: the inverse of [`disasm`](crate::disasm()) — every textual
 //! form the disassembler emits reads back to the identical kernel-IR
 //! instruction. The asm → disasm → asm roundtrip is locked by the
 //! `isa_properties` fuzz suite.

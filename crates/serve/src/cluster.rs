@@ -2,12 +2,11 @@
 //!
 //! [`ClusterSim`] composes everything the serving layer has into one
 //! deterministic event loop: N shards (each a pool of engines with
-//! per-engine circuit breakers) behind a seeded
-//! consistent-hash [`Router`](crate::Router), per-tenant queues
-//! drained by weighted deficit round-robin
-//! ([`TenantQueues`](crate::TenantQueues)), and request batching that
-//! coalesces compatible same-kernel requests into one engine dispatch
-//! ([`BatchPolicy`](crate::BatchPolicy)).
+//! per-engine circuit breakers) behind a seeded consistent-hash
+//! [`Router`], per-tenant queues drained by weighted deficit
+//! round-robin ([`TenantQueues`]), and request batching that coalesces
+//! compatible same-kernel requests into one engine dispatch
+//! ([`BatchPolicy`]).
 //!
 //! The robustness headline is the failure path:
 //!
@@ -18,11 +17,11 @@
 //!   that can no longer meet their deadline; when no shard can serve —
 //!   always the case for a dead single pool, `shards: 1` — queued work
 //!   fails over to the O3+DV path at once;
-//! * a cluster-level **graceful-degradation ladder**
-//!   ([`Ladder`](crate::Ladder)) watches windowed failure rate,
-//!   backlog, and shard availability, and sheds *features → tenants →
-//!   the accelerator itself* instead of collapsing, with every
-//!   transition recorded, traced, and audited.
+//! * a cluster-level **graceful-degradation ladder** ([`Ladder`])
+//!   watches windowed failure rate, backlog, and shard availability,
+//!   and sheds *features → tenants → the accelerator itself* instead
+//!   of collapsing, with every transition recorded, traced, and
+//!   audited.
 //!
 //! Everything runs on a simulated cycle clock — no wall time, no
 //! global RNG — so identically-configured runs produce byte-identical
