@@ -257,14 +257,6 @@ pub fn contention_profile(
     Ok(out)
 }
 
-// O3 without a vector unit still needs a CoreStats impl for the
-// generic driver.
-impl CoreStats<NoVector> for O3Core<NoVector> {
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

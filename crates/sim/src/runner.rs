@@ -4,8 +4,8 @@ use crate::report::RunReport;
 use crate::system::SystemKind;
 use eve_common::Stats;
 use eve_core::EveEngine;
-use eve_cpu::{EngineError, IoCore, O3Core, VectorUnit};
-use eve_isa::{Characterization, Interpreter, IsaError, Retired};
+use eve_cpu::{EngineError, IoCore, NoVector, O3Core, VectorUnit};
+use eve_isa::{Characterization, Interpreter, IsaError, Program, Retired};
 use eve_mem::HierarchyConfig;
 use eve_obs::Tracer;
 use eve_vector::{DecoupledVector, IntegratedVector};
@@ -111,7 +111,6 @@ impl Runner {
         mem_cfg: HierarchyConfig,
     ) -> Result<RunReport, SimError> {
         let built = workload.build();
-        let name = built.name;
         match system {
             SystemKind::Io => {
                 let mut interp = Interpreter::new(built.scalar.clone(), built.memory.clone(), 1);
@@ -131,7 +130,7 @@ impl Runner {
                     .map_err(SimError::Verification)?;
                 Ok(self.report(
                     system,
-                    name,
+                    built.name,
                     cycles,
                     interp.retired_count(),
                     core.stats(),
@@ -139,47 +138,34 @@ impl Runner {
                     None,
                 ))
             }
-            SystemKind::O3 => {
-                let mut interp = Interpreter::new(built.scalar.clone(), built.memory.clone(), 1);
-                let mut core = O3Core::with_unit(eve_cpu::NoVector, mem_cfg);
-                if let Some(t) = &self.tracer {
-                    core.set_tracer(t);
-                }
-                let mut c = Characterization::new();
-                let mut r = Retired::default();
-                while interp.step_into(&mut r)? {
-                    c.record(&r);
-                    core.retire(&r)?;
-                }
-                let cycles = core.finish();
-                built
-                    .verify(interp.memory())
-                    .map_err(SimError::Verification)?;
-                Ok(self.report(
-                    system,
-                    name,
-                    cycles,
-                    interp.retired_count(),
-                    core.stats(),
-                    c,
-                    None,
-                ))
-            }
-            SystemKind::O3Iv => self.run_vector(
+            SystemKind::O3 => self.run_o3(
                 system,
                 &built,
+                &built.scalar,
+                O3Core::with_unit(NoVector, mem_cfg),
+            ),
+            SystemKind::O3Iv => self.run_o3(
+                system,
+                &built,
+                &built.vector,
                 O3Core::with_unit(IntegratedVector::new(), mem_cfg),
             ),
-            SystemKind::O3Dv => self.run_vector(
+            SystemKind::O3Dv => self.run_o3(
                 system,
                 &built,
+                &built.vector,
                 O3Core::with_unit(DecoupledVector::new(), mem_cfg),
             ),
             SystemKind::EveN(n) => {
                 let engine = EveEngine::new(n).map_err(|e| SimError::Config(e.to_string()))?;
                 // The L2 starts at full capacity; the engine halves it
                 // when it spawns (§V-E).
-                self.run_vector(system, &built, O3Core::with_unit(engine, mem_cfg))
+                self.run_o3(
+                    system,
+                    &built,
+                    &built.vector,
+                    O3Core::with_unit(engine, mem_cfg),
+                )
             }
         }
     }
@@ -201,17 +187,22 @@ impl Runner {
         let engine =
             EveEngine::with_tuning(n, tuning).map_err(|e| SimError::Config(e.to_string()))?;
         let built = workload.build();
-        self.run_vector(
+        self.run_o3(
             SystemKind::EveN(n),
             &built,
+            &built.vector,
             O3Core::with_unit(engine, mem_cfg),
         )
     }
 
-    fn run_vector<V: VectorUnit>(
+    /// Runs `program` on an O3 core at its unit's hardware vector
+    /// length: the scalar program on [`NoVector`] (VL 1), the vector
+    /// program on the other units.
+    fn run_o3<V: VectorUnit>(
         &self,
         system: SystemKind,
         built: &eve_workloads::Built,
+        program: &Program,
         mut core: O3Core<V>,
     ) -> Result<RunReport, SimError>
     where
@@ -221,7 +212,7 @@ impl Runner {
             core.set_tracer(t);
         }
         let hw_vl = core.hw_vl();
-        let mut interp = Interpreter::new(built.vector.clone(), built.memory.clone(), hw_vl);
+        let mut interp = Interpreter::new(program.clone(), built.memory.clone(), hw_vl);
         let mut c = Characterization::new();
         let mut r = Retired::default();
         while interp.step_into(&mut r)? {
@@ -275,6 +266,12 @@ impl Runner {
 pub trait CoreStats<V: VectorUnit> {
     /// The Fig 7 breakdown, if this core hosts an EVE engine.
     fn breakdown(&self) -> Option<eve_core::StallBreakdown>;
+}
+
+impl CoreStats<NoVector> for O3Core<NoVector> {
+    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
+        None
+    }
 }
 
 impl CoreStats<IntegratedVector> for O3Core<IntegratedVector> {
