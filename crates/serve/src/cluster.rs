@@ -39,7 +39,7 @@ use crate::elastic::{
 };
 use crate::health::{apply_signal, signals, spawn_target_ok};
 use crate::net::{DedupTable, Detector, Link, MsgClass, NetCounters, NetPolicy, RttWindow};
-use crate::profile::ServiceProfile;
+use crate::profile::{PriceTable, ServiceProfile};
 use crate::queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};
 use crate::router::Router;
 use crate::shape::TrafficShape;
@@ -243,17 +243,25 @@ enum Ev {
     DeliverResp(usize, usize, bool, bool),
     /// A first-response-wins cancellation for `req` reaches `shard`.
     DeliverCancel(usize, usize),
-    /// A heartbeat ping reaches shard `shard` (it acks immediately).
-    DeliverHb(usize),
-    /// A heartbeat ack from shard `shard` reaches the router.
-    DeliverAck(usize),
     /// Request `req`'s retransmit timer fires; live only while the
     /// transmission sequence still matches.
     NetTimeout(usize, u32),
     /// Request `req`'s hedge timer fires.
     HedgeFire(usize, u32),
+    /// A heartbeat tick, heartbeat or ack.
+    Liveness(Liveness),
+}
+
+/// The transport's liveness traffic, handled by
+/// [`NetState::on_liveness`].
+#[derive(Debug, Clone, Copy)]
+enum Liveness {
     /// The router's next heartbeat tick toward shard `shard`.
     HbTick(usize),
+    /// A heartbeat ping reaches shard `shard` (it acks immediately).
+    DeliverHb(usize),
+    /// A heartbeat ack from shard `shard` reaches the router.
+    DeliverAck(usize),
 }
 
 struct Entry {
@@ -279,13 +287,29 @@ impl Ord for Entry {
     }
 }
 
+/// The calendar's heap: every pending event but arrivals, each stamped
+/// with the next sequence number.
+struct Calendar {
+    heap: BinaryHeap<Entry>,
+    seq: u64,
+}
+
+impl Calendar {
+    fn push(&mut self, at: u64, ev: Ev) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry { at, seq, ev });
+    }
+}
+
 /// One request's lifecycle state.
 struct Request {
     arrival: u64,
     deadline: u64,
     workload: usize,
     tenant: usize,
-    key: u64,
+    /// Where its routing key's ring walk starts.
+    ring_start: usize,
     /// The shard whose queue currently holds (or last held) it.
     shard: usize,
     attempts: u32,
@@ -311,7 +335,6 @@ enum EngineMode {
 }
 
 /// One engine's simulated state.
-#[derive(Clone, PartialEq)]
 struct Engine {
     breaker: CircuitBreaker,
     mode: EngineMode,
@@ -341,7 +364,6 @@ impl Engine {
 }
 
 /// One shard: a pool of engines plus its tenant queues.
-#[derive(Clone, PartialEq)]
 struct Shard {
     engines: Vec<Engine>,
     queues: TenantQueues,
@@ -429,6 +451,56 @@ struct NetState {
     counters: NetCounters,
 }
 
+impl NetState {
+    /// Transmits one message over `shard`'s link, returning the
+    /// scheduled delivery cycles of the copies that survive.
+    fn transmit(&mut self, now: u64, shard: usize, class: MsgClass) -> impl Iterator<Item = u64> {
+        let policy = self.policy;
+        self.links[shard]
+            .transmit(now, class, &policy)
+            .into_iter()
+            .flatten()
+    }
+
+    /// Handles a liveness event at `now`. It is lent only the transport
+    /// and the calendar, so it cannot touch the shards, the ladder or
+    /// the elastic controller; [`ClusterSim::handle`] skips the passes
+    /// after one on that ground. Returns the shard whose suspicion an
+    /// ack cleared.
+    fn on_liveness(&mut self, ev: Liveness, now: u64, calendar: &mut Calendar) -> Option<usize> {
+        match ev {
+            Liveness::HbTick(s) => {
+                // Ping over the lossy link, re-armed only while the run
+                // still has traffic coming or requests open: heartbeats
+                // must not keep a finished calendar alive.
+                let rearm = self.open > 0 || now <= self.last_arrival;
+                for at in self.transmit(now, s, MsgClass::Heartbeat) {
+                    calendar.push(at, Ev::Liveness(Liveness::DeliverHb(s)));
+                }
+                if rearm {
+                    let every = self.policy.heartbeat_every.max(1);
+                    calendar.push(now + every, Ev::Liveness(Liveness::HbTick(s)));
+                }
+                None
+            }
+            Liveness::DeliverHb(s) => {
+                // The shard acks at once, over the same lossy link.
+                self.links[s].on_delivered(MsgClass::Heartbeat);
+                for at in self.transmit(now, s, MsgClass::Ack) {
+                    calendar.push(at, Ev::Liveness(Liveness::DeliverAck(s)));
+                }
+                None
+            }
+            Liveness::DeliverAck(s) => {
+                // The failure detector refreshes, clearing suspicion if
+                // the link had gone quiet.
+                self.links[s].on_delivered(MsgClass::Ack);
+                self.detector.on_ack(now, s).map(|_| s)
+            }
+        }
+    }
+}
+
 /// Static per-shard trace categories (shards beyond eight are
 /// simulated but not instant-traced — the tracer requires static
 /// names).
@@ -439,13 +511,15 @@ const SHARD_CATS: [&str; 8] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"];
 pub struct ClusterSim {
     cfg: ClusterConfig,
     profile: ServiceProfile,
+    /// The profile's engine prices at every busy count a shard can
+    /// reach.
+    prices: PriceTable,
     tracer: Option<Tracer>,
     router: Router,
     ladder: Ladder,
     elastic: ElasticController,
 
-    heap: BinaryHeap<Entry>,
-    seq: u64,
+    calendar: Calendar,
     requests: Vec<Request>,
     /// The next request to arrive. Arrivals stay off the heap: request
     /// `i` holds sequence number `arrival_seq + i`, and
@@ -454,6 +528,9 @@ pub struct ClusterSim {
     arrival_seq: u64,
     net: Option<NetState>,
     shards: Vec<Shard>,
+    /// Which shards can take a dispatch, as last refreshed by
+    /// [`ClusterSim::refresh_availability`].
+    avail: Vec<bool>,
     storm: Vec<StormEvent>,
     batches: Vec<BatchRec>,
     fallback_free_at: u64,
@@ -610,15 +687,12 @@ impl ClusterSim {
             }
         }
         let router = Router::try_new(cfg.seed, cfg.shards, cfg.vnodes)?;
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut calendar = Calendar {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        };
         for (i, e) in storm.events.iter().enumerate() {
-            heap.push(Entry {
-                at: e.at,
-                seq,
-                ev: Ev::Storm(i),
-            });
-            seq += 1;
+            calendar.push(e.at, Ev::Storm(i));
         }
         // Hot-key windows shape key generation; scanning them up front
         // keeps the arrival schedule a pure function of (traffic,
@@ -634,19 +708,21 @@ impl ClusterSim {
             })
             .collect();
         let schedule = crate::shape::arrivals(&traffic, profile.len(), &hot_windows);
+        let prices = profile.price_table(cfg.slots_per_shard());
         let mut requests = Vec::with_capacity(traffic.requests);
         for (i, a) in schedule.into_iter().enumerate() {
-            let solo = profile
-                .eve_service(a.workload, 1)
+            let solo = prices
+                .eve(a.workload, 1)
                 .max(profile.fallback_service(a.workload));
             let slack = (solo as f64 * traffic.deadline_slack).round() as u64;
+            let ring_start = router.start(a.key);
             requests.push(Request {
                 arrival: a.at,
                 deadline: a.at + slack.max(1),
                 workload: a.workload,
                 tenant: a.tenant,
-                key: a.key,
-                shard: router.route(a.key),
+                ring_start,
+                shard: router.shard_at(ring_start),
                 attempts: 0,
                 backoff: Backoff::new(cfg.backoff, cfg.seed.wrapping_add(1 + i as u64)),
                 admitted: false,
@@ -654,10 +730,10 @@ impl ClusterSim {
                 corrupted: false,
             });
         }
-        let arrival_seq = seq;
-        seq += requests.len() as u64;
+        let arrival_seq = calendar.seq;
+        calendar.seq += requests.len() as u64;
         let weights: Vec<u32> = traffic.tenants.iter().map(|t| t.weight).collect();
-        let quantum = profile.mean_eve_cycles();
+        let quantum = prices.mean_eve();
         let shards = (0..cfg.shards)
             .map(|_| Shard {
                 engines: (0..cfg.slots_per_shard())
@@ -711,12 +787,8 @@ impl ClusterSim {
             // same cycle.
             let every = policy.heartbeat_every.max(1);
             for s in 0..cfg.shards {
-                heap.push(Entry {
-                    at: (s as u64 * every) / cfg.shards as u64,
-                    seq,
-                    ev: Ev::HbTick(s),
-                });
-                seq += 1;
+                let at = (s as u64 * every) / cfg.shards as u64;
+                calendar.push(at, Ev::Liveness(Liveness::HbTick(s)));
             }
             Some(NetState {
                 links: (0..cfg.shards).map(|s| Link::new(cfg.seed, s)).collect(),
@@ -742,12 +814,13 @@ impl ClusterSim {
             tenant_arrivals: vec![0; tenant_count],
             tenant_admitted: vec![0; tenant_count],
             tenant_shed: vec![0; tenant_count],
+            avail: vec![false; cfg.shards],
             cfg,
             profile,
+            prices,
             tracer: None,
             router,
-            heap,
-            seq,
+            calendar,
             requests,
             next_arrival: 0,
             arrival_seq,
@@ -814,9 +887,7 @@ impl ClusterSim {
     }
 
     fn push(&mut self, at: u64, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, ev });
+        self.calendar.push(at, ev);
     }
 
     /// Takes the next calendar event: the heap's top or the next
@@ -827,11 +898,12 @@ impl ClusterSim {
             .get(self.next_arrival)
             .map(|r| (r.arrival, self.arrival_seq + self.next_arrival as u64));
         let heap_first = self
+            .calendar
             .heap
             .peek()
             .is_some_and(|top| arrival.is_none_or(|a| (top.at, top.seq) < a));
         if heap_first {
-            return self.heap.pop().map(|e| (e.at, e.ev));
+            return self.calendar.heap.pop().map(|e| (e.at, e.ev));
         }
         let (at, _) = arrival?;
         self.next_arrival += 1;
@@ -877,10 +949,26 @@ impl ClusterSim {
             .any(|e| e.is_active() && e.breaker.state_at(now) != BreakerState::Open)
     }
 
-    fn availability_mask(&mut self) -> Vec<bool> {
-        (0..self.cfg.shards)
-            .map(|s| self.shard_available(s))
-            .collect()
+    /// Re-derives [`ClusterSim::avail`] in place, shard by shard. At
+    /// one `now` a second refresh changes nothing: breaker states and
+    /// detector probes settle on the first.
+    fn refresh_availability(&mut self) {
+        for s in 0..self.cfg.shards {
+            self.avail[s] = self.shard_available(s);
+        }
+    }
+
+    /// Where request `r` goes next: its current shard while that is
+    /// available, else the first available shard on its ring walk.
+    fn reroute(&mut self, r: usize) -> Option<usize> {
+        self.refresh_availability();
+        let req = &self.requests[r];
+        if self.avail[req.shard] {
+            Some(req.shard)
+        } else {
+            self.router
+                .route_healthy_from(req.ring_start, |s| self.avail[s])
+        }
     }
 
     /// Non-open *active* engine count in `shard` (its serving
@@ -902,20 +990,20 @@ impl ClusterSim {
     fn shard_view(&mut self, s: usize, workload: usize) -> AdmissionView {
         let channels = self.shard_channels(s).max(1);
         let requests = &self.requests;
-        let profile = &self.profile;
+        let prices = &self.prices;
         let shard = &self.shards[s];
         let queued_cost = shard
             .queues
             .iter()
-            .map(|(_, r)| profile.eve_service(requests[r].workload, channels))
+            .map(|(_, r)| prices.eve(requests[r].workload, channels))
             .sum();
         AdmissionView {
             queued: shard.queues.len(),
             queued_cost,
             inflight: shard.engines.iter().filter(|e| e.busy).count(),
             channels,
-            mean_service: profile.mean_eve_cycles(),
-            service_estimate: profile.eve_service(workload, channels),
+            mean_service: prices.mean_eve(),
+            service_estimate: prices.eve(workload, channels),
         }
     }
 
@@ -1000,15 +1088,16 @@ impl ClusterSim {
     /// pass-run that changed nothing is a fixed point only until a pass
     /// input changes. Liveness events (heartbeat ticks, heartbeats and
     /// acks) touch only links, the calendar and the detector's ack
-    /// clocks, which only move suspicion later. So after one of them
+    /// clocks, which only move suspicion later: their handler is lent
+    /// nothing else ([`NetState::on_liveness`]). So after one of them
     /// the passes are skipped while the last pass-run changed nothing
     /// and no input has changed with time alone ([`ClusterSim::wake_after`]).
     /// An ack that clears a suspicion changes availability and ends the
     /// quiet.
     fn handle(&mut self, ev: Ev) {
-        let liveness = matches!(ev, Ev::HbTick(_) | Ev::DeliverHb(_) | Ev::DeliverAck(_));
+        let liveness = matches!(ev, Ev::Liveness(_));
         #[cfg(debug_assertions)]
-        let inputs = (liveness && self.quiet_since.is_some()).then(|| self.pass_inputs());
+        let suspicion_changes = self.suspicion_changes();
         match ev {
             Ev::Storm(i) => self.on_storm(i),
             Ev::Arrival(r) => self.on_arrival(r),
@@ -1023,11 +1112,9 @@ impl ClusterSim {
             Ev::DeliverReq(r, s) => self.on_deliver_req(r, s),
             Ev::DeliverResp(r, s, ok, corrupt) => self.on_deliver_resp(r, s, ok, corrupt),
             Ev::DeliverCancel(r, s) => self.on_deliver_cancel(r, s),
-            Ev::DeliverHb(s) => self.on_deliver_hb(s),
-            Ev::DeliverAck(s) => self.on_deliver_ack(s),
             Ev::NetTimeout(r, seq) => self.on_net_timeout(r, seq),
             Ev::HedgeFire(r, seq) => self.on_hedge_fire(r, seq),
-            Ev::HbTick(s) => self.on_hb_tick(s),
+            Ev::Liveness(l) => self.on_liveness(l),
         }
         if liveness && self.quiet_since.is_some() && self.now < self.quiet_until {
             #[cfg(debug_assertions)]
@@ -1037,9 +1124,10 @@ impl ClusterSim {
                     self.now < self.wake_after(since),
                     "a pass input changed with time since the quiet pass-run at {since}"
                 );
-                assert!(
-                    inputs == Some(self.pass_inputs()),
-                    "a liveness handler changed a pass input"
+                assert_eq!(
+                    suspicion_changes,
+                    self.suspicion_changes(),
+                    "a liveness handler changed a suspicion"
                 );
             }
             return;
@@ -1048,10 +1136,10 @@ impl ClusterSim {
         // controller repartition, lets idle shards steal, and pumps
         // whatever became placeable.
         let marks = self.pass_marks();
-        let avail = self.evaluate_ladder();
-        self.evaluate_elastic();
-        self.steal_pass();
-        self.pump_all(&avail);
+        let any_available = self.evaluate_ladder();
+        let reconfigured = self.evaluate_elastic();
+        self.steal_pass(reconfigured);
+        self.pump_all(any_available);
         if marks.is_some() && marks == self.pass_marks() {
             self.quiet_since = Some(self.now);
             self.quiet_until = self.wake_after(self.now);
@@ -1102,22 +1190,12 @@ impl ClusterSim {
             .unwrap_or(u64::MAX)
     }
 
-    /// Everything the passes read, for the debug re-check of a skipped
-    /// pass-run: the shards' queues and engines, the ladder, the
-    /// elastic controller and which links are suspected.
+    /// Suspicions raised or cleared so far: each change records one
+    /// detector event. Debug builds check that a skipped pass-run's
+    /// liveness event changed none.
     #[cfg(debug_assertions)]
-    fn pass_inputs(&self) -> (Vec<Shard>, Ladder, ElasticController, Vec<bool>) {
-        let suspected = self.net.as_ref().map_or_else(Vec::new, |n| {
-            (0..self.cfg.shards)
-                .map(|s| n.detector.suspected(s))
-                .collect()
-        });
-        (
-            self.shards.clone(),
-            self.ladder.clone(),
-            self.elastic.clone(),
-            suspected,
-        )
+    fn suspicion_changes(&self) -> usize {
+        self.net.as_ref().map_or(0, |n| n.detector.events().len())
     }
 
     fn on_storm(&mut self, i: usize) {
@@ -1209,16 +1287,17 @@ impl ClusterSim {
             self.instant("serve", "shed_tenant", now);
             return;
         }
-        let (key, workload, deadline) = {
+        let (ring_start, workload, deadline) = {
             let req = &self.requests[r];
-            (req.key, req.workload, req.deadline)
+            (req.ring_start, req.workload, req.deadline)
         };
-        let home = self.router.route(key);
+        let home = self.router.shard_at(ring_start);
         let dest = if self.ladder.level() == ServiceLevel::FallbackOnly {
             None
         } else {
-            let avail = self.availability_mask();
-            self.router.route_healthy(key, |s| avail[s])
+            self.refresh_availability();
+            self.router
+                .route_healthy_from(ring_start, |s| self.avail[s])
         };
         match dest {
             Some(s) => {
@@ -1294,39 +1373,29 @@ impl ClusterSim {
             }
         }
         self.instant("serve", "retry_due", self.now);
-        let avail = self.availability_mask();
-        let (cur, key, tenant) = {
-            let req = &self.requests[r];
-            (req.shard, req.key, req.tenant)
-        };
-        let dest = if avail[cur] {
-            Some(cur)
-        } else {
-            self.router.route_healthy(key, |s| avail[s])
-        };
-        match dest {
+        match self.reroute(r) {
             Some(s) => {
                 self.requests[r].shard = s;
                 if self.net.is_some() {
                     self.net_send_req(r, s);
                 } else {
-                    self.shards[s].queues.push(tenant, r);
+                    self.shards[s].queues.push(self.requests[r].tenant, r);
                 }
             }
             None => self.failover(r),
         }
     }
 
-    /// Pumps every shard, given the availability mask this event's
-    /// ladder evaluation computed.
-    fn pump_all(&mut self, avail: &[bool]) {
+    /// Pumps every shard, given whether this event's ladder evaluation
+    /// found any shard available.
+    fn pump_all(&mut self, any_available: bool) {
         // The bottom ladder rung runs nothing on engines: queues drain
         // straight to the fallback until the ladder climbs back. With
         // the transport off, a cluster where no shard can serve drains
         // the same way — the rule arrivals already follow — since no
         // thief can take the work. (With it on, RTO timers fail such
         // requests over at the router.)
-        let stranded = self.net.is_none() && !avail.contains(&true);
+        let stranded = self.net.is_none() && !any_available;
         if stranded || self.ladder.level() == ServiceLevel::FallbackOnly {
             for s in 0..self.cfg.shards {
                 let drained: Vec<usize> = self.shards[s]
@@ -1376,10 +1445,10 @@ impl ClusterSim {
             let Some(eng) = pick else { return };
             let channels = self.shard_channels(s).max(1);
             let requests = &self.requests;
-            let profile = &self.profile;
+            let prices = &self.prices;
             let Some((tenant, head)) = self.shards[s]
                 .queues
-                .pop_next(|r| profile.eve_service(requests[r].workload, channels))
+                .pop_next(|r| prices.eve(requests[r].workload, channels))
             else {
                 return;
             };
@@ -1389,15 +1458,14 @@ impl ClusterSim {
             } else {
                 self.cfg.batch.max_batch
             };
-            let requests = &self.requests;
-            let riders =
-                self.shards[s]
-                    .queues
-                    .extract_matching(tenant, max_batch.saturating_sub(1), |r| {
-                        requests[r].workload == workload
-                    });
-            let mut members = vec![head];
-            members.extend(riders);
+            let mut members = Vec::with_capacity(max_batch.max(1));
+            members.push(head);
+            self.shards[s].queues.extract_matching(
+                tenant,
+                max_batch.saturating_sub(1),
+                |r| requests[r].workload == workload,
+                &mut members,
+            );
             self.dispatch_batch(s, eng, workload, members);
         }
     }
@@ -1409,7 +1477,7 @@ impl ClusterSim {
         let service = if self.shards[s].engines[eng].faulty_at(now) {
             self.cfg.detect_latency.max(1)
         } else {
-            let solo = self.profile.eve_service(workload, busy_after);
+            let solo = self.prices.eve(workload, busy_after);
             self.cfg.batch.batch_cycles(solo, k)
         };
         self.dispatches += 1;
@@ -1551,15 +1619,7 @@ impl ClusterSim {
         // feeding failed work back into itself.
         if self.ladder.level() == ServiceLevel::Full && attempts < self.cfg.max_attempts {
             let delay = self.requests[r].backoff.delay(attempts - 1).max(1);
-            let avail = self.availability_mask();
-            let cur = self.requests[r].shard;
-            let dest = if avail[cur] {
-                Some(cur)
-            } else {
-                self.router
-                    .route_healthy(self.requests[r].key, |s| avail[s])
-            };
-            if let Some(s) = dest {
+            if let Some(s) = self.reroute(r) {
                 let view = self.shard_view(s, workload);
                 let eta = now
                     .saturating_add(delay)
@@ -1611,12 +1671,28 @@ impl ClusterSim {
     /// each against its own queue — stolen work that can no longer make
     /// its deadline goes straight to the fallback instead of dying in a
     /// second queue.
-    fn steal_pass(&mut self) {
+    ///
+    /// It reads the ladder's availability mask unless the elastic pass
+    /// `reconfigured` an engine since: a retire is the only action
+    /// between the two passes that can change availability.
+    fn steal_pass(&mut self, reconfigured: bool) {
         if !self.cfg.steal.enabled || self.ladder.level() == ServiceLevel::FallbackOnly {
             return;
         }
         let now = self.now;
-        let avail = self.availability_mask();
+        if reconfigured {
+            self.refresh_availability();
+        } else {
+            #[cfg(debug_assertions)]
+            for s in 0..self.cfg.shards {
+                let fresh = self.shard_available(s);
+                assert_eq!(
+                    self.avail[s], fresh,
+                    "shard {s}'s availability moved since the ladder's pass"
+                );
+            }
+        }
+        let avail = &self.avail;
         let mut victim: Option<(usize, usize)> = None; // (queued, shard)
         for (s, open) in avail.iter().enumerate() {
             let queued = self.shards[s].queues.len();
@@ -1673,20 +1749,21 @@ impl ClusterSim {
         }
     }
 
-    /// Feeds the ladder this event's pressure and returns the shard
-    /// availability mask it was computed from.
-    fn evaluate_ladder(&mut self) -> Vec<bool> {
+    /// Feeds the ladder this event's pressure, computed from a freshly
+    /// refreshed availability mask, and returns whether any shard is
+    /// available.
+    fn evaluate_ladder(&mut self) -> bool {
         let now = self.now;
         let capacity = (self.cfg.shards * self.cfg.admission.queue_capacity).max(1);
         let queued: usize = self.shards.iter().map(|s| s.queues.len()).sum();
-        let avail = self.availability_mask();
-        let down = avail.iter().filter(|a| !**a).count();
+        self.refresh_availability();
+        let down = self.avail.iter().filter(|a| !**a).count();
         let backlog = queued as f64 / capacity as f64;
         let unavailable = down as f64 / self.cfg.shards as f64;
         if let Some(ev) = self.ladder.evaluate(now, backlog, unavailable) {
             self.instant("ladder", ev.to.as_str(), now);
         }
-        avail
+        down < self.cfg.shards
     }
 
     /// Records one reconfiguration event: the controller keeps the
@@ -1711,11 +1788,13 @@ impl ClusterSim {
     /// started, subject to the controller's dwell hysteresis and the
     /// cluster-wide thrash budget. The bottom ladder rung suppresses
     /// the controller entirely — a cluster serving from the fallback
-    /// should not be donating more L2 ways to engines.
-    fn evaluate_elastic(&mut self) {
+    /// should not be donating more L2 ways to engines. Returns whether
+    /// any engine changed mode (every mode change records an event).
+    fn evaluate_elastic(&mut self) -> bool {
         if !self.cfg.elastic.enabled || self.ladder.level() == ServiceLevel::FallbackOnly {
-            return;
+            return false;
         }
+        let events = self.elastic.events().len();
         let now = self.now;
         let capacity = self.cfg.admission.queue_capacity.max(1);
         for s in 0..self.cfg.shards {
@@ -1743,6 +1822,7 @@ impl ClusterSim {
                 None => {}
             }
         }
+        self.elastic.events().len() != events
     }
 
     /// Begins a spawn on `s`: the first parked slot that is healthy
@@ -1832,13 +1912,7 @@ impl ClusterSim {
     /// scheduled delivery cycles of the copies that survive.
     fn net_transmit(&mut self, shard: usize, class: MsgClass) -> impl Iterator<Item = u64> {
         let now = self.now;
-        let copies = match &mut self.net {
-            Some(net) => {
-                let policy = net.policy;
-                net.links[shard].transmit(now, class, &policy)
-            }
-            None => [None; 2],
-        };
+        let copies = self.net.as_mut().map(|net| net.transmit(now, shard, class));
         copies.into_iter().flatten()
     }
 
@@ -2050,17 +2124,7 @@ impl ClusterSim {
             Action::Exhausted => self.failover(r),
             Action::Retransmit => {
                 self.instant("serve", "retransmit", self.now);
-                let avail = self.availability_mask();
-                let (cur, key) = {
-                    let req = &self.requests[r];
-                    (req.shard, req.key)
-                };
-                let dest = if avail[cur] {
-                    Some(cur)
-                } else {
-                    self.router.route_healthy(key, |s| avail[s])
-                };
-                match dest {
+                match self.reroute(r) {
                     Some(s) => {
                         self.requests[r].shard = s;
                         self.net_send_req(r, s);
@@ -2084,9 +2148,13 @@ impl ClusterSim {
             }
             req.primary
         };
-        let avail = self.availability_mask();
-        let key = self.requests[r].key;
-        let Some(dest) = self.router.route_healthy(key, |s| s != primary && avail[s]) else {
+        self.refresh_availability();
+        let Some(dest) = self
+            .router
+            .route_healthy_from(self.requests[r].ring_start, |s| {
+                s != primary && self.avail[s]
+            })
+        else {
             return;
         };
         if let Some(net) = &mut self.net {
@@ -2105,51 +2173,12 @@ impl ClusterSim {
         }
     }
 
-    /// The router's heartbeat tick for shard `s`: ping over the lossy
-    /// link, re-armed only while the run still has traffic coming or
-    /// requests open — heartbeats must not keep a finished calendar
-    /// alive.
-    fn on_hb_tick(&mut self, s: usize) {
+    /// A liveness event; a cleared suspicion makes the shard routable
+    /// again, which changes a pass input.
+    fn on_liveness(&mut self, ev: Liveness) {
         let now = self.now;
-        let (rearm, every) = {
-            let Some(net) = &self.net else { return };
-            (
-                net.open > 0 || now <= net.last_arrival,
-                net.policy.heartbeat_every.max(1),
-            )
-        };
-        for at in self.net_transmit(s, MsgClass::Heartbeat) {
-            self.push(at, Ev::DeliverHb(s));
-        }
-        if rearm {
-            self.push(now + every, Ev::HbTick(s));
-        }
-    }
-
-    /// A heartbeat ping reached shard `s`; it acks immediately (the
-    /// ack rides the same lossy link back).
-    fn on_deliver_hb(&mut self, s: usize) {
-        if let Some(net) = &mut self.net {
-            net.links[s].on_delivered(MsgClass::Heartbeat);
-        } else {
-            return;
-        }
-        for at in self.net_transmit(s, MsgClass::Ack) {
-            self.push(at, Ev::DeliverAck(s));
-        }
-    }
-
-    /// A heartbeat ack reached the router: the failure detector
-    /// refreshes, clearing suspicion if the link had gone quiet.
-    fn on_deliver_ack(&mut self, s: usize) {
-        let now = self.now;
-        let recovered = {
-            let Some(net) = &mut self.net else { return };
-            net.links[s].on_delivered(MsgClass::Ack);
-            net.detector.on_ack(now, s).is_some()
-        };
-        if recovered {
-            // The shard is routable again: a pass input changed.
+        let Some(net) = &mut self.net else { return };
+        if let Some(s) = net.on_liveness(ev, now, &mut self.calendar) {
             self.quiet_since = None;
             if s < SHARD_CATS.len() {
                 self.instant(SHARD_CATS[s], "suspect_clear", now);

@@ -174,6 +174,20 @@ impl ServiceProfile {
         scaled.round().max(1.0) as u64
     }
 
+    /// Every engine price a pool of `max_busy` engines can ask for:
+    /// [`ServiceProfile::eve_service`] of each workload at each busy
+    /// count in `0..=max_busy`, and the mean solo service time.
+    pub(crate) fn price_table(&self, max_busy: usize) -> PriceTable {
+        let stride = max_busy + 1;
+        PriceTable {
+            eve: (0..self.eve_cycles.len())
+                .flat_map(|w| (0..stride).map(move |busy| self.eve_service(w, busy)))
+                .collect(),
+            stride,
+            mean_eve: self.mean_eve_cycles(),
+        }
+    }
+
     /// Fallback service time of workload `idx` (the O3+DV path is a
     /// single shared server; it queues instead of contending).
     #[must_use]
@@ -209,6 +223,29 @@ impl ServiceProfile {
     }
 }
 
+/// A profile's engine prices, derived once per serving run: the
+/// event loop prices queued requests, WDRR heads and dispatches by
+/// lookup.
+pub(crate) struct PriceTable {
+    /// `eve[workload * stride + busy]`.
+    eve: Vec<u64>,
+    stride: usize,
+    mean_eve: u64,
+}
+
+impl PriceTable {
+    /// [`ServiceProfile::eve_service`]`(workload, busy)`.
+    pub(crate) fn eve(&self, workload: usize, busy: usize) -> u64 {
+        debug_assert!(busy < self.stride, "{busy} busy engines past the table");
+        self.eve[workload * self.stride + busy]
+    }
+
+    /// [`ServiceProfile::mean_eve_cycles`].
+    pub(crate) fn mean_eve(&self) -> u64 {
+        self.mean_eve
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +261,23 @@ mod tests {
         assert_eq!(p.eve_service(0, 9), 1300);
         assert_eq!(p.fallback_service(1), 4000);
         assert_eq!(p.mean_eve_cycles(), 1000);
+    }
+
+    #[test]
+    fn the_price_table_is_eve_service() {
+        let p = ServiceProfile {
+            eve_cycles: vec![900, 1_601, 2_400, 4_099],
+            contention: vec![1.0, 1.13, 1.37],
+            ..ServiceProfile::synthetic(4, 1, 1, 3)
+        };
+        // Nine busy engines run past the three-point contention curve.
+        let t = p.price_table(9);
+        for w in 0..p.len() {
+            for busy in 0..=9 {
+                assert_eq!(t.eve(w, busy), p.eve_service(w, busy), "({w}, {busy})");
+            }
+        }
+        assert_eq!(t.mean_eve(), p.mean_eve_cycles());
     }
 
     #[test]

@@ -115,32 +115,51 @@ impl Router {
         }
     }
 
+    /// The ring point `key`'s walk starts at: the first point at or
+    /// after its hashed position. A caller that routes one key many
+    /// times hashes it and searches the ring once, then routes from
+    /// the start with [`Router::shard_at`] and
+    /// [`Router::route_healthy_from`].
+    pub(crate) fn start(&self, key: u64) -> usize {
+        self.successor(self.position(key))
+    }
+
+    /// The shard that owns ring point `start`.
+    pub(crate) fn shard_at(&self, start: usize) -> usize {
+        self.ring[start].1
+    }
+
     /// The shard that owns `key`.
     #[must_use]
     pub fn route(&self, key: u64) -> usize {
-        self.ring[self.successor(self.position(key))].1
+        self.shard_at(self.start(key))
     }
 
     /// The first shard at or after `key`'s home position for which
     /// `available` holds — the home shard itself when it is healthy,
     /// its ring successor otherwise. `None` when no shard qualifies.
-    pub fn route_healthy(
+    /// The walk asks `available` once per ring point, skipping a
+    /// point whose shard owns the point before it, so it may ask about
+    /// one shard more than once and must answer the same each time.
+    pub fn route_healthy(&self, key: u64, available: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.route_healthy_from(self.start(key), available)
+    }
+
+    /// [`Router::route_healthy`] for the key whose walk starts at ring
+    /// point `start`.
+    pub(crate) fn route_healthy_from(
         &self,
-        key: u64,
+        start: usize,
         mut available: impl FnMut(usize) -> bool,
     ) -> Option<usize> {
-        let start = self.successor(self.position(key));
-        let mut seen = 0u64;
-        for i in 0..self.ring.len() {
-            let shard = self.ring[(start + i) % self.ring.len()].1;
-            let bit = 1u64 << (shard % 64);
-            if seen & bit != 0 {
-                continue;
-            }
-            seen |= bit;
-            if available(shard) {
+        let n = self.ring.len();
+        let mut prev = None;
+        for i in 0..n {
+            let shard = self.ring[(start + i) % n].1;
+            if prev != Some(shard) && available(shard) {
                 return Some(shard);
             }
+            prev = Some(shard);
         }
         None
     }
@@ -226,6 +245,49 @@ mod tests {
             assert_eq!(r.route_healthy(key, |_| true), Some(home));
         }
         assert_eq!(r.route_healthy(9, |_| false), None);
+    }
+
+    #[test]
+    fn a_lone_available_shard_past_64_takes_every_key() {
+        // Shard 64 and shard 0 must not share a slot in any seen-set:
+        // with only shard 64 up, every key fails over to it.
+        let r = Router::new(7, 65, 4);
+        for key in 0..1000 {
+            assert_eq!(r.route_healthy(key, |s| s == 64), Some(64), "key {key}");
+        }
+    }
+
+    /// The ring walk the router must agree with: a linear scan for the
+    /// key's first ring point, then every point in ring order.
+    fn naive_route(r: &Router, key: u64, available: &[bool]) -> Option<usize> {
+        let pos = SplitMix64::new(key ^ r.seed).next_u64();
+        let start = r.ring.iter().position(|&(p, _)| p >= pos).unwrap_or(0);
+        (0..r.ring.len())
+            .map(|i| r.ring[(start + i) % r.ring.len()].1)
+            .find(|&s| available[s])
+    }
+
+    #[test]
+    fn healthy_routing_matches_a_naive_ring_walk() {
+        let mut rng = SplitMix64::new(0x0007_E7A1);
+        for _ in 0..200 {
+            let shards = 1 + rng.below(130) as usize;
+            let vnodes = 1 + rng.below(8) as usize;
+            let r = Router::new(rng.next_u64(), shards, vnodes);
+            // From every shard up to every shard down.
+            let up = rng.next_f64();
+            let available: Vec<bool> = (0..shards).map(|_| rng.chance(up)).collect();
+            let all_up = vec![true; shards];
+            for _ in 0..50 {
+                let key = rng.next_u64();
+                assert_eq!(
+                    r.route_healthy(key, |s| available[s]),
+                    naive_route(&r, key, &available),
+                    "{shards} shards x {vnodes} vnodes, key {key}"
+                );
+                assert_eq!(Some(r.route(key)), naive_route(&r, key, &all_up));
+            }
+        }
     }
 
     #[test]

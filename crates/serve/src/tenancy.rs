@@ -169,35 +169,33 @@ impl TenantQueues {
         Some((t, head))
     }
 
-    /// Removes up to `max` further queued requests of `tenant` for
-    /// which `matches` holds, preserving the relative order of what
-    /// remains — the batch coalescer pulls same-kernel riders with
-    /// this.
+    /// Moves up to `max` further queued requests of `tenant` for which
+    /// `matches` holds onto the end of `into`, preserving the relative
+    /// order of what remains — the batch coalescer pulls same-kernel
+    /// riders with this.
     pub fn extract_matching(
         &mut self,
         tenant: usize,
         max: usize,
         mut matches: impl FnMut(usize) -> bool,
-    ) -> Vec<usize> {
-        let mut taken = Vec::new();
+        into: &mut Vec<usize>,
+    ) {
         if max == 0 {
-            return taken;
+            return;
         }
-        let q = &mut self.queues[tenant];
-        let mut kept = VecDeque::with_capacity(q.len());
-        while let Some(r) = q.pop_front() {
-            if taken.len() < max && matches(r) {
-                taken.push(r);
-            } else {
-                kept.push_back(r);
+        let mut taken = 0;
+        self.queues[tenant].retain(|&r| {
+            let take = taken < max && matches(r);
+            if take {
+                into.push(r);
+                taken += 1;
             }
-        }
-        *q = kept;
-        self.len -= taken.len();
+            !take
+        });
+        self.len -= taken;
         if self.queues[tenant].is_empty() {
             self.deficits[tenant] = 0;
         }
-        taken
     }
 
     /// Removes one specific queued request of `tenant`, preserving the
@@ -337,8 +335,9 @@ mod tests {
         for r in [1, 2, 3, 4, 5] {
             q.push(0, r);
         }
-        let taken = q.extract_matching(0, 2, |r| r % 2 == 0);
-        assert_eq!(taken, vec![2, 4]);
+        let mut taken = vec![9];
+        q.extract_matching(0, 2, |r| r % 2 == 0, &mut taken);
+        assert_eq!(taken, vec![9, 2, 4]);
         assert_eq!(q.len(), 3);
         let rest: Vec<usize> = std::iter::from_fn(|| q.pop_next(|_| 1).map(|(_, r)| r)).collect();
         assert_eq!(rest, vec![1, 3, 5]);
