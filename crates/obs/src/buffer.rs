@@ -70,6 +70,13 @@ impl TraceBuffer {
         self.events.iter()
     }
 
+    /// The buffered events as one slice, in emission order. The ring
+    /// is rotated into place first, which is O(1) unless it has
+    /// wrapped.
+    pub fn make_contiguous(&mut self) -> &[TraceEvent] {
+        self.events.make_contiguous()
+    }
+
     /// Copies the buffered events out in emission order.
     #[must_use]
     pub fn to_vec(&self) -> Vec<TraceEvent> {
@@ -104,6 +111,8 @@ mod tests {
         assert_eq!(b.dropped(), 2);
         let kept: Vec<u64> = b.iter().map(|e| e.ts).collect();
         assert_eq!(kept, [2, 3, 4]);
+        let lent: Vec<u64> = b.make_contiguous().iter().map(|e| e.ts).collect();
+        assert_eq!(lent, kept);
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //! t.span("vsu", "ld_mem_stall", "ld_mem_stall", 9, 80);
 //! t.count("vmu.lines", 4);
 //!
-//! let events = t.events();
-//! let tiling = audit::tile_track(&events, "vsu").unwrap();
+//! let tiling = t.with_events(|events| audit::tile_track(events, "vsu")).unwrap();
 //! assert_eq!(tiling.end - tiling.start, 89);
 //! assert_eq!(tiling.by_cat["busy"], 9);
 //! ```

@@ -151,10 +151,23 @@ impl Tracer {
         self.inner.borrow_mut().reg.record(name, value);
     }
 
-    /// Copies out the buffered events in emission order.
+    /// Copies out the buffered events in emission order. Checks that
+    /// only read the events borrow them with [`Tracer::with_events`].
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner.borrow().buf.to_vec()
+    }
+
+    /// Lends the buffered events to `f` as one slice in emission order,
+    /// without copying them ([`TraceBuffer::make_contiguous`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` emits into this tracer or reads it through any
+    /// handle: the buffer is on loan for the call.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+        let mut state = self.inner.borrow_mut();
+        f(state.buf.make_contiguous())
     }
 
     /// Buffered event count.
@@ -202,6 +215,18 @@ mod tests {
         b.instant("vmu", "req", "line", 3);
         assert_eq!(a.len(), 2);
         assert_eq!(b.events()[0].cat, "busy");
+    }
+
+    #[test]
+    fn lent_events_equal_the_copy() {
+        // Capacity 2 with three spans: the ring has wrapped.
+        let t = Tracer::with_capacity(2);
+        for ts in 0..3 {
+            t.span("vsu", "busy", "busy", ts * 5, 5);
+        }
+        let copy = t.events();
+        assert_eq!(t.with_events(<[TraceEvent]>::to_vec), copy);
+        assert_eq!(copy.iter().map(|e| e.ts).collect::<Vec<_>>(), [5, 10]);
     }
 
     #[test]

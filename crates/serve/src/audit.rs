@@ -71,13 +71,26 @@ pub struct ClusterAuditSummary {
     pub identities: usize,
 }
 
-fn check_identity(label: &str, got: u64, want: u64) -> Result<(), ServeAuditFailure> {
-    if got == want {
-        Ok(())
-    } else {
-        Err(ServeAuditFailure::Identity {
-            message: format!("{label}: {got} != {want}"),
-        })
+/// The identities checked so far. A label is rendered only when its
+/// identity fails.
+#[derive(Default)]
+struct Identities(usize);
+
+impl Identities {
+    fn check(
+        &mut self,
+        label: impl fmt::Display,
+        got: u64,
+        want: u64,
+    ) -> Result<(), ServeAuditFailure> {
+        self.0 += 1;
+        if got == want {
+            Ok(())
+        } else {
+            Err(ServeAuditFailure::Identity {
+                message: format!("{label}: {got} != {want}"),
+            })
+        }
     }
 }
 
@@ -97,23 +110,21 @@ pub fn audit_cluster(
     if dropped > 0 {
         return Err(AuditError::DroppedEvents { dropped }.into());
     }
-    let events = tracer.events();
-    check_bounds(&events, report.end_cycle)?;
-    check_monotonic(&events, "cluster")?;
+    let events = tracer.with_events(|events| {
+        check_bounds(events, report.end_cycle)?;
+        check_monotonic(events, "cluster")?;
+        Ok::<_, AuditError>(events.len())
+    })?;
 
-    let mut identities = 0usize;
-    let mut check = |label: &str, got: u64, want: u64| -> Result<(), ServeAuditFailure> {
-        identities += 1;
-        check_identity(label, got, want)
-    };
+    let mut ids = Identities::default();
 
     // Arrival conservation.
-    check(
+    ids.check(
         "arrivals == admitted + shed",
         report.arrivals,
         report.admitted + report.shed(),
     )?;
-    check(
+    ids.check(
         "admitted == completed_eve + completed_fallback",
         report.admitted,
         report.completed_eve + report.completed_fallback,
@@ -124,17 +135,17 @@ pub fn audit_cluster(
     // wasted executions (hedge losers, responses lost past the
     // retransmit budget). With the transport off both identities
     // degenerate to the historical `batched == completed + failures`.
-    check(
+    ids.check(
         "batched == executed_ok + request_failures",
         report.batched_requests,
         report.executed_ok + report.request_failures,
     )?;
-    check(
+    ids.check(
         "executed_ok == completed_eve + wasted_executions",
         report.executed_ok,
         report.completed_eve + report.wasted_executions,
     )?;
-    check(
+    ids.check(
         "failovers == completed_fallback",
         report.failovers,
         report.completed_fallback,
@@ -144,20 +155,20 @@ pub fn audit_cluster(
     // shard, unless no shard was routable and it went straight to the
     // fallback path.
     let routed: u64 = report.shards_detail.iter().map(|s| s.routed).sum();
-    check(
+    ids.check(
         "routed + direct_fallback == admitted",
         routed + report.direct_fallback,
         report.admitted,
     )?;
     let rerouted_in: u64 = report.shards_detail.iter().map(|s| s.rerouted_in).sum();
-    check("reroute roll-up", rerouted_in, report.rerouted)?;
+    ids.check("reroute roll-up", rerouted_in, report.rerouted)?;
 
     // Steal replay: everything stolen out landed in a thief's queue or
     // failed over, nothing vanished.
     let steals_out: u64 = report.shards_detail.iter().map(|s| s.steals_out).sum();
-    check("steal roll-up", steals_out, report.steals)?;
+    ids.check("steal roll-up", steals_out, report.steals)?;
     let steals_in: u64 = report.shards_detail.iter().map(|s| s.steals_in).sum();
-    check(
+    ids.check(
         "steals_in == steals - steal_failovers",
         steals_in,
         report.steals - report.steal_failovers,
@@ -165,27 +176,27 @@ pub fn audit_cluster(
 
     // Batch replay, shard by shard.
     let batches: u64 = report.shards_detail.iter().map(|s| s.batches).sum();
-    check("dispatch roll-up", batches, report.dispatches)?;
+    ids.check("dispatch roll-up", batches, report.dispatches)?;
     let batched: u64 = report
         .shards_detail
         .iter()
         .map(|s| s.batched_requests)
         .sum();
-    check("batched-request roll-up", batched, report.batched_requests)?;
+    ids.check("batched-request roll-up", batched, report.batched_requests)?;
     let completions: u64 = report.shards_detail.iter().map(|s| s.completions).sum();
-    check("execution roll-up", completions, report.executed_ok)?;
+    ids.check("execution roll-up", completions, report.executed_ok)?;
     let failures: u64 = report.shards_detail.iter().map(|s| s.failures).sum();
-    check("failure roll-up", failures, report.batch_failures)?;
+    ids.check("failure roll-up", failures, report.batch_failures)?;
     for (i, s) in report.shards_detail.iter().enumerate() {
         let eng_batches: u64 = s.engines.iter().map(|e| e.dispatches).sum();
-        check(
-            &format!("shard {i} engine batch roll-up"),
+        ids.check(
+            format_args!("shard {i} engine batch roll-up"),
             eng_batches,
             s.batches,
         )?;
         let eng_resolved: u64 = s.engines.iter().map(|e| e.completions + e.failures).sum();
-        check(
-            &format!("shard {i} batches all resolve"),
+        ids.check(
+            format_args!("shard {i} batches all resolve"),
             eng_resolved,
             s.batches,
         )?;
@@ -193,24 +204,24 @@ pub fn audit_cluster(
 
     // Tenant accounting: arrivals and admissions partition exactly, and
     // no admitted tenant loses a request.
-    check(
+    ids.check(
         "tenant arrival roll-up",
         report.tenants.iter().map(|t| t.arrivals).sum(),
         report.arrivals,
     )?;
-    check(
+    ids.check(
         "tenant admit roll-up",
         report.tenants.iter().map(|t| t.admitted).sum(),
         report.admitted,
     )?;
-    check(
+    ids.check(
         "tenant shed roll-up",
         report.tenants.iter().map(|t| t.shed).sum(),
         report.shed(),
     )?;
     for t in &report.tenants {
-        check(
-            &format!("tenant {} completes what it admits", t.name),
+        ids.check(
+            format_args!("tenant {} completes what it admits", t.name),
             t.completed,
             t.admitted,
         )?;
@@ -220,8 +231,8 @@ pub fn audit_cluster(
     // with the final level, and level times tile the run.
     for (i, e) in report.ladder.iter().enumerate() {
         let moved = (e.from as i64 - e.to as i64).unsigned_abs();
-        check(
-            &format!(
+        ids.check(
+            format_args!(
                 "ladder step {i} moves one rung ({} -> {})",
                 e.from.as_str(),
                 e.to.as_str()
@@ -230,12 +241,12 @@ pub fn audit_cluster(
             1,
         )?;
     }
-    check(
+    ids.check(
         "ladder steps reconcile with final level",
         report.step_downs(),
         report.step_ups() + report.final_level as u64,
     )?;
-    check(
+    ids.check(
         "level times tile the run",
         report.time_at_level.iter().sum(),
         report.end_cycle,
@@ -248,11 +259,11 @@ pub fn audit_cluster(
     // (checked above) therefore holds *across* reconfigurations:
     // nothing a drain or rollback touched was dropped or double-run.
     let spawns: u64 = report.shards_detail.iter().map(|s| s.spawns).sum();
-    check("elastic spawn roll-up", spawns, report.elastic_spawns)?;
+    ids.check("elastic spawn roll-up", spawns, report.elastic_spawns)?;
     let retires: u64 = report.shards_detail.iter().map(|s| s.retires).sum();
-    check("elastic retire roll-up", retires, report.elastic_retires)?;
+    ids.check("elastic retire roll-up", retires, report.elastic_retires)?;
     let spawn_rb: u64 = report.shards_detail.iter().map(|s| s.spawn_rollbacks).sum();
-    check(
+    ids.check(
         "elastic spawn-rollback roll-up",
         spawn_rb,
         report.elastic_spawn_rollbacks,
@@ -262,14 +273,14 @@ pub fn audit_cluster(
         .iter()
         .map(|s| s.retire_rollbacks)
         .sum();
-    check(
+    ids.check(
         "elastic retire-rollback roll-up",
         retire_rb,
         report.elastic_retire_rollbacks,
     )?;
     for (i, s) in report.shards_detail.iter().enumerate() {
-        check(
-            &format!("shard {i} final_active + retires == base + spawns"),
+        ids.check(
+            format_args!("shard {i} final_active + retires == base + spawns"),
             s.final_active + s.retires,
             report.engines_per_shard as u64 + s.spawns,
         )?;
@@ -277,41 +288,41 @@ pub fn audit_cluster(
     let kind_count = |k: ElasticEventKind| -> u64 {
         report.elastic_events.iter().filter(|e| e.kind == k).count() as u64
     };
-    check(
+    ids.check(
         "every spawn start resolves",
         kind_count(ElasticEventKind::SpawnStart),
         report.elastic_spawns + report.elastic_spawn_rollbacks,
     )?;
-    check(
+    ids.check(
         "every retire start resolves",
         kind_count(ElasticEventKind::RetireStart),
         report.elastic_retires + report.elastic_retire_rollbacks,
     )?;
-    check(
+    ids.check(
         "spawn commits match the tally",
         kind_count(ElasticEventKind::SpawnCommit),
         report.elastic_spawns,
     )?;
-    check(
+    ids.check(
         "retire commits match the tally",
         kind_count(ElasticEventKind::RetireCommit),
         report.elastic_retires,
     )?;
     let mut prev_at = 0u64;
     for (i, e) in report.elastic_events.iter().enumerate() {
-        check(
-            &format!("elastic event {i} is time-ordered"),
+        ids.check(
+            format_args!("elastic event {i} is time-ordered"),
             u64::from(e.at >= prev_at),
             1,
         )?;
         prev_at = e.at;
-        check(
-            &format!("elastic event {i} lands inside the run"),
+        ids.check(
+            format_args!("elastic event {i} lands inside the run"),
             u64::from(e.at <= report.end_cycle),
             1,
         )?;
-        check(
-            &format!("elastic event {i} names a real shard"),
+        ids.check(
+            format_args!("elastic event {i} names a real shard"),
             u64::from(e.shard < report.shards),
             1,
         )?;
@@ -331,8 +342,8 @@ pub fn audit_cluster(
             .iter()
             .filter(|&&u| t.saturating_sub(u) < half)
             .count() as u64;
-        check(
-            &format!("thrash guard holds at start {i}"),
+        ids.check(
+            format_args!("thrash guard holds at start {i}"),
             u64::from(in_window <= report.elastic_max_per_window),
             1,
         )?;
@@ -342,18 +353,18 @@ pub fn audit_cluster(
     // trivially zero — which is itself checked, so a report cannot
     // smuggle in link traffic it claims not to have modeled.
     if !report.net_enabled {
-        check(
+        ids.check(
             "disabled transport carries no links",
             report.links.len() as u64,
             0,
         )?;
-        check(
+        ids.check(
             "disabled transport saw no wasted executions",
             report.wasted_executions,
             0,
         )?;
     } else {
-        check(
+        ids.check(
             "one link per shard",
             report.links.len() as u64,
             report.shards as u64,
@@ -363,8 +374,8 @@ pub fn audit_cluster(
     for l in &report.links {
         for class in MsgClass::ALL {
             let c = l.class(class);
-            check(
-                &format!(
+            ids.check(
+                format_args!(
                     "link {} {}: sent == delivered + dropped + in_flight",
                     l.shard,
                     class.as_str()
@@ -372,8 +383,8 @@ pub fn audit_cluster(
                 c.sent,
                 c.delivered + c.dropped + c.in_flight,
             )?;
-            check(
-                &format!(
+            ids.check(
+                format_args!(
                     "link {} {}: nothing in flight at end",
                     l.shard,
                     class.as_str()
@@ -384,22 +395,22 @@ pub fn audit_cluster(
         }
         cancels_delivered += l.cancel.delivered;
     }
-    check(
+    ids.check(
         "no request executed twice on one shard",
         report.net.double_applied,
         0,
     )?;
-    check(
+    ids.check(
         "delivered cancels either pulled a copy or missed",
         cancels_delivered,
         report.net.hedge_cancelled + report.net.cancel_missed,
     )?;
-    check(
+    ids.check(
         "retransmits respect the per-request budget",
         u64::from(report.net.retransmits <= report.admitted * report.net_max_retransmits),
         1,
     )?;
-    check(
+    ids.check(
         "hedge wins never exceed hedges fired",
         u64::from(report.net.hedge_wins <= report.net.hedges),
         1,
@@ -408,19 +419,19 @@ pub fn audit_cluster(
     // its transition counts match the counter block.
     let mut prev_at = 0u64;
     for (i, e) in report.detector_events.iter().enumerate() {
-        check(
-            &format!("detector event {i} is time-ordered"),
+        ids.check(
+            format_args!("detector event {i} is time-ordered"),
             u64::from(e.at >= prev_at),
             1,
         )?;
         prev_at = e.at;
-        check(
-            &format!("detector event {i} lands inside the run"),
+        ids.check(
+            format_args!("detector event {i} lands inside the run"),
             u64::from(e.at <= report.end_cycle),
             1,
         )?;
-        check(
-            &format!("detector event {i} names a real shard"),
+        ids.check(
+            format_args!("detector event {i} names a real shard"),
             u64::from(e.shard < report.shards),
             1,
         )?;
@@ -430,12 +441,12 @@ pub fn audit_cluster(
         .iter()
         .filter(|e| e.suspected)
         .count() as u64;
-    check(
+    ids.check(
         "suspicion events match the tally",
         suspected,
         report.net.suspicions,
     )?;
-    check(
+    ids.check(
         "recovery events match the tally",
         report.detector_events.len() as u64 - suspected,
         report.net.recoveries,
@@ -469,7 +480,7 @@ pub fn audit_cluster(
             ),
             ("elastic.drain_cycles", report.elastic_drain_cycles),
         ] {
-            check(name, reg.counter(name), want)?;
+            ids.check(name, reg.counter(name), want)?;
         }
         let class_total = |f: fn(&crate::cluster_report::LinkClassReport) -> u64| -> u64 {
             report
@@ -495,25 +506,19 @@ pub fn audit_cluster(
             ("net.suspicions", report.net.suspicions),
             ("net.recoveries", report.net.recoveries),
         ] {
-            check(name, reg.counter(name), want)?;
+            ids.check(name, reg.counter(name), want)?;
         }
         for (i, s) in report.shards_detail.iter().enumerate() {
-            check(
-                &format!("cluster.routed.s{i}"),
-                reg.counter(&format!("cluster.routed.s{i}")),
-                s.routed,
-            )?;
-            check(
-                &format!("cluster.steals_in.s{i}"),
-                reg.counter(&format!("cluster.steals_in.s{i}")),
-                s.steals_in,
-            )?;
+            let routed = format!("cluster.routed.s{i}");
+            ids.check(&routed, reg.counter(&routed), s.routed)?;
+            let steals_in = format!("cluster.steals_in.s{i}");
+            ids.check(&steals_in, reg.counter(&steals_in), s.steals_in)?;
         }
     }
 
     Ok(ClusterAuditSummary {
-        events: events.len(),
-        identities,
+        events,
+        identities: ids.0,
     })
 }
 

@@ -100,12 +100,13 @@ pub fn audit_run(tracer: &Tracer, report: &RunReport) -> Result<AuditSummary, Au
     if dropped > 0 {
         return Err(AuditError::DroppedEvents { dropped }.into());
     }
-    let events = tracer.events();
-    check_bounds(&events, report.cycles.0)?;
-    for track in ORDERED_TRACKS {
-        check_monotonic(&events, track)?;
-    }
-    let vsu = tile_track(&events, "vsu")?;
+    let (events, vsu) = tracer.with_events(|events| {
+        check_bounds(events, report.cycles.0)?;
+        for track in ORDERED_TRACKS {
+            check_monotonic(events, track)?;
+        }
+        Ok::<_, AuditError>((events.len(), tile_track(events, "vsu")?))
+    })?;
     let spawn_cycles = report.stats.get("spawn_cycles");
     let mut tiled = false;
 
@@ -165,7 +166,7 @@ pub fn audit_run(tracer: &Tracer, report: &RunReport) -> Result<AuditSummary, Au
     }
 
     Ok(AuditSummary {
-        events: events.len(),
+        events,
         vsu,
         spawn_cycles,
         tiled,
