@@ -12,8 +12,9 @@ use crate::interp::IsaError;
 use crate::reg::{Vreg, Xreg};
 use std::collections::HashMap;
 
-/// An assembled, label-resolved program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An assembled, label-resolved program. The default program has no
+/// instructions.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     insts: Vec<Inst>,
 }

@@ -4,7 +4,8 @@
 ///
 /// Addresses start at zero; workloads conventionally place data from
 /// `0x1000` upward. Accesses outside the allocated size panic — a
-/// simulated segfault that fails tests loudly instead of silently.
+/// simulated segfault that fails tests loudly instead of silently. The
+/// default image is empty.
 ///
 /// # Examples
 ///
@@ -15,13 +16,15 @@
 /// assert_eq!(mem.load_u32(0x100), 0xDEAD_BEEF);
 /// assert_eq!(mem.load_u8(0x100), 0xEF); // little endian
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
 }
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed memory.
+    /// Allocates `size` bytes of zeroed memory. They come from the
+    /// allocator's zeroed path, so a large image's pages become
+    /// resident only when first written; a clone writes them all.
     #[must_use]
     pub fn new(size: usize) -> Self {
         Self {

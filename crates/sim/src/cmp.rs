@@ -11,18 +11,15 @@
 //! in the LLC's banks/MSHRs and the DRAM channel.
 
 use crate::report::RunReport;
-use crate::runner::{CoreStats, SimError};
+use crate::runner::{with_core, CoreRun, Runner, SimError, TimingCore, WithCore};
 use crate::system::SystemKind;
 use eve_common::Cycle;
-use eve_core::EveEngine;
-use eve_cpu::{IoCore, NoVector, O3Core, VectorUnit};
-use eve_isa::{Characterization, Interpreter, Retired};
 use eve_mem::{Hierarchy, HierarchyConfig, SharedLlc};
-use eve_vector::{DecoupledVector, IntegratedVector};
 use eve_workloads::{Built, Workload};
 
-/// Address spacing between cores' data regions (32 MB: larger than any
-/// suite workload's footprint).
+/// Address spacing between cores' data regions (32 MB). A workload
+/// whose image reaches past its region is rejected, since it would
+/// share lines with the next core's.
 const CORE_STRIDE: u64 = 0x200_0000;
 
 /// Result of a CMP run.
@@ -45,101 +42,36 @@ impl CmpReport {
     }
 }
 
-/// One core mid-simulation: its interpreter plus timing model.
-trait CoreDriver {
+/// One core of the CMP mid-simulation, whatever its timing model.
+trait Interleaved {
     /// Executes one instruction; `false` once halted.
     fn step(&mut self) -> Result<bool, SimError>;
-    /// Finalizes and produces this core's report.
-    fn finish(&mut self, system: SystemKind) -> Result<RunReport, SimError>;
+    /// Drains the core, verifies its outputs, and reports it.
+    fn finish(self: Box<Self>, runner: &Runner) -> Result<RunReport, SimError>;
 }
 
-struct Driver<C> {
+impl<C: TimingCore> Interleaved for CoreRun<C> {
+    fn step(&mut self) -> Result<bool, SimError> {
+        CoreRun::step(self)
+    }
+
+    fn finish(self: Box<Self>, runner: &Runner) -> Result<RunReport, SimError> {
+        CoreRun::finish(*self, runner)
+    }
+}
+
+/// Starts one CMP core on whichever timing model [`with_core`] builds.
+struct Boxed<'a> {
+    runner: &'a Runner,
+    system: SystemKind,
     built: Built,
-    interp: Interpreter,
-    /// The record every step is interpreted into.
-    retired: Retired,
-    core: C,
-    chars: Characterization,
 }
 
-impl<C> Driver<C> {
-    fn new(built: Built, hw_vl: u32, vector: bool, core: C) -> Self {
-        let prog = if vector {
-            built.vector.clone()
-        } else {
-            built.scalar.clone()
-        };
-        let interp = Interpreter::new(prog, built.memory.clone(), hw_vl);
-        Self {
-            built,
-            interp,
-            retired: Retired::default(),
-            core,
-            chars: Characterization::new(),
-        }
-    }
-}
+impl WithCore for Boxed<'_> {
+    type Out = Box<dyn Interleaved>;
 
-impl CoreDriver for Driver<IoCore> {
-    fn step(&mut self) -> Result<bool, SimError> {
-        if !self.interp.step_into(&mut self.retired)? {
-            return Ok(false);
-        }
-        self.chars.record(&self.retired);
-        self.core.retire(&self.retired)?;
-        Ok(true)
-    }
-
-    fn finish(&mut self, system: SystemKind) -> Result<RunReport, SimError> {
-        let cycles = self.core.finish();
-        self.built
-            .verify(self.interp.memory())
-            .map_err(SimError::Verification)?;
-        Ok(RunReport {
-            system,
-            workload: self.built.name,
-            wall_ps: cycles.to_picos(system.cycle_time()),
-            cycles,
-            dyn_insts: self.interp.retired_count(),
-            stats: self.core.stats(),
-            characterization: self.chars.clone(),
-            breakdown: None,
-            resilience: None,
-            counters: None,
-        })
-    }
-}
-
-impl<V: VectorUnit> CoreDriver for Driver<O3Core<V>>
-where
-    O3Core<V>: CoreStats<V>,
-{
-    fn step(&mut self) -> Result<bool, SimError> {
-        if !self.interp.step_into(&mut self.retired)? {
-            return Ok(false);
-        }
-        self.chars.record(&self.retired);
-        self.core.retire(&self.retired)?;
-        Ok(true)
-    }
-
-    fn finish(&mut self, system: SystemKind) -> Result<RunReport, SimError> {
-        let cycles = self.core.finish();
-        self.built
-            .verify(self.interp.memory())
-            .map_err(SimError::Verification)?;
-        Ok(RunReport {
-            system,
-            workload: self.built.name,
-            wall_ps: cycles.to_picos(system.cycle_time()),
-            cycles,
-            dyn_insts: self.interp.retired_count(),
-            stats: self.core.stats(),
-            characterization: self.chars.clone(),
-            breakdown: self.core.breakdown(),
-            resilience: None,
-            counters: None,
-        })
+    fn with<C: TimingCore + 'static>(self, core: C) -> Result<Self::Out, SimError> {
+        Ok(Box::new(self.runner.start(self.system, self.built, core)))
     }
 }
 
@@ -149,7 +81,8 @@ where
 /// # Errors
 ///
 /// Propagates simulation and verification failures; rejects a zero
-/// core count or an invalid EVE factor as [`SimError::Config`].
+/// core count, an invalid EVE factor, or a workload whose image does
+/// not fit its core's region as [`SimError::Config`].
 pub fn run_cmp(
     system: SystemKind,
     workload: &Workload,
@@ -158,35 +91,32 @@ pub fn run_cmp(
     if cores == 0 {
         return Err(SimError::Config("a CMP needs at least one core".into()));
     }
+    let runner = Runner::new();
     let cfg = HierarchyConfig::table_iii();
     let shared = SharedLlc::new(cfg.llc.clone(), cfg.dram);
-    let mut drivers: Vec<Box<dyn CoreDriver>> = Vec::with_capacity(cores);
+    let mut drivers = Vec::with_capacity(cores);
     for c in 0..cores {
-        let built = workload.build_at(eve_workloads::common::DATA_BASE + c as u64 * CORE_STRIDE);
+        let base = eve_workloads::common::DATA_BASE + c as u64 * CORE_STRIDE;
+        let built = workload.build_at(base);
+        let end = built.memory.size() as u64;
+        if end > base + CORE_STRIDE {
+            return Err(SimError::Config(format!(
+                "{}: core {c}'s image ends at {end:#x}, past its CMP region \
+                 {base:#x}..{:#x}",
+                workload.name(),
+                base + CORE_STRIDE
+            )));
+        }
         let hier = Hierarchy::with_shared(cfg.clone(), shared.clone());
-        let driver: Box<dyn CoreDriver> = match system {
-            SystemKind::Io => Box::new(Driver::new(built, 1, false, IoCore::with_hierarchy(hier))),
-            SystemKind::O3 => Box::new(Driver::new(
+        drivers.push(with_core(
+            system,
+            hier,
+            Boxed {
+                runner: &runner,
+                system,
                 built,
-                1,
-                false,
-                O3Core::with_unit_and_hierarchy(NoVector, hier),
-            )),
-            SystemKind::O3Iv => {
-                let core = O3Core::with_unit_and_hierarchy(IntegratedVector::new(), hier);
-                Box::new(Driver::new(built, core.hw_vl(), true, core))
-            }
-            SystemKind::O3Dv => {
-                let core = O3Core::with_unit_and_hierarchy(DecoupledVector::new(), hier);
-                Box::new(Driver::new(built, core.hw_vl(), true, core))
-            }
-            SystemKind::EveN(n) => {
-                let engine = EveEngine::new(n).map_err(|e| SimError::Config(e.to_string()))?;
-                let core = O3Core::with_unit_and_hierarchy(engine, hier);
-                Box::new(Driver::new(built, core.hw_vl(), true, core))
-            }
-        };
-        drivers.push(driver);
+            },
+        )?);
     }
 
     // Interleave cores round-robin, one instruction at a time, so
@@ -204,8 +134,8 @@ pub fn run_cmp(
     }
 
     let per_core: Vec<RunReport> = drivers
-        .iter_mut()
-        .map(|d| d.finish(system))
+        .into_iter()
+        .map(|d| d.finish(&runner))
         .collect::<Result<_, _>>()?;
     let finish = per_core
         .iter()
@@ -267,12 +197,34 @@ mod tests {
         assert!(matches!(err, SimError::Config(_)));
     }
 
+    /// A one-core CMP is the single-core run: every report byte of
+    /// every system on every tiny kernel matches [`Runner::run`]'s.
     #[test]
     fn single_core_cmp_matches_single_core_runner() {
-        let w = Workload::vvadd(2048);
-        let cmp = run_cmp(SystemKind::EveN(8), &w, 1).unwrap();
-        let solo = crate::Runner::new().run(SystemKind::EveN(8), &w).unwrap();
-        assert_eq!(cmp.per_core[0].cycles, solo.cycles);
+        let runner = Runner::new();
+        for w in Workload::tiny_suite() {
+            for sys in SystemKind::all() {
+                let cmp = run_cmp(sys, &w, 1).unwrap();
+                let solo = runner.run(sys, &w).unwrap();
+                assert_eq!(
+                    cmp.per_core[0].to_json().to_compact(),
+                    solo.to_json().to_compact(),
+                    "{sys} on {}",
+                    w.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_workload_larger_than_its_region_is_rejected() {
+        // Three 12 MiB arrays: core 0's copy would run into core 1's
+        // region and share its lines in the LLC.
+        let err = run_cmp(SystemKind::O3, &Workload::Vvadd { n: 3 << 20 }, 2).unwrap_err();
+        match err {
+            SimError::Config(msg) => assert!(msg.starts_with("vvadd: core 0"), "{msg}"),
+            other => panic!("expected a config error, got {other}"),
+        }
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! [`RunReport::resilience`]: crate::RunReport::resilience
 
 use crate::report::RunReport;
-use crate::runner::{CoreStats, Runner, SimError};
+use crate::runner::{Runner, SimError};
 use crate::system::SystemKind;
 use eve_common::json::JsonValue;
 use eve_common::SplitMix64;
 use eve_core::{EveEngine, ResilienceConfig};
 use eve_cpu::O3Core;
-use eve_isa::{Characterization, Inst, Interpreter, Retired, VArithOp, VOperand, Vreg};
+use eve_isa::{Inst, Interpreter, VArithOp, VOperand, Vreg};
 use eve_mem::HierarchyConfig;
 use eve_sram::{Binding, DetectionMode, EveArray, FaultConfig, FaultInjector, FaultStats};
 use eve_uop::{HybridConfig, MacroOpKind, ProgramLibrary};
@@ -693,29 +693,25 @@ impl Runner {
             DetectionMode::Parity => ResilienceConfig::default(),
             DetectionMode::Secded => ResilienceConfig::secded(),
         });
-        let mut core = O3Core::with_unit(engine, mem_cfg.clone());
-        if let Some(t) = self.tracer() {
-            core.set_tracer(t);
-        }
+        let mut run = self.start(
+            SystemKind::EveN(n),
+            built,
+            O3Core::with_unit(engine, mem_cfg.clone()),
+        );
         let mut checker = ShadowChecker::with_mode(n, fault_cfg, policy, mode)
             .map_err(|e| SimError::Config(e.to_string()))?;
-        let hw_vl = core.hw_vl();
-        let mut interp = Interpreter::new(built.vector.clone(), built.memory.clone(), hw_vl);
-        let mut chars = Characterization::new();
         let mut degraded = false;
-        let mut r = Retired::default();
         loop {
-            let prepared = checker.prepare(&interp);
-            if !interp.step_into(&mut r)? {
+            let prepared = checker.prepare(&run.interp);
+            if !run.step()? {
                 break;
             }
-            chars.record(&r);
-            core.retire(&r)?;
             if let Some(p) = prepared {
-                let verdict = checker.check(&p, &mut interp);
+                let verdict = checker.check(&p, &mut run.interp);
                 let (corrections, remaps) = checker.take_charges();
-                core.vector_unit_mut().charge_ecc_corrections(corrections);
-                core.vector_unit_mut().charge_remaps(remaps);
+                let engine = run.core.vector_unit_mut();
+                engine.charge_ecc_corrections(corrections);
+                engine.charge_remaps(remaps);
                 if verdict == CheckVerdict::Degrade {
                     degraded = true;
                     break;
@@ -731,16 +727,16 @@ impl Runner {
             // served.
             let mut fallback_ops = 0u64;
             loop {
-                let checkable = checker.prepare(&interp).is_some();
-                if !interp.step_into(&mut r)? {
+                let checkable = checker.prepare(&run.interp).is_some();
+                if !run.interp.step_into(&mut run.retired)? {
                     break;
                 }
                 if checkable {
                     fallback_ops += 1;
                 }
             }
-            let now = core.finish();
-            core.hierarchy_mut().despawn_vector_mode(now);
+            let now = run.core.finish();
+            run.core.hierarchy_mut().despawn_vector_mode(now);
             // The report describes the O3+DV rerun, which starts again
             // at cycle 0: drop the abandoned attempt's events and
             // counters so the trace describes that rerun alone.
@@ -757,8 +753,8 @@ impl Runner {
             return Ok(fallback);
         }
 
-        let cycles = core.finish();
-        let verified = built.verify(interp.memory()).is_ok();
+        let (mut report, verdict) = run.report(self);
+        let verified = verdict.is_ok();
         if !verified && checker.corrupted_lanes == 0 {
             // Not explainable by injection — a real simulator bug.
             return Err(SimError::Verification(
@@ -772,15 +768,6 @@ impl Runner {
         } else {
             FaultOutcome::Masked
         };
-        let mut report = self.report(
-            SystemKind::EveN(n),
-            built.name,
-            cycles,
-            interp.retired_count(),
-            core.stats(),
-            chars,
-            core.breakdown(),
-        );
         report.resilience = Some(checker.resilience(outcome, 0, verified, None));
         Ok(report)
     }

@@ -2,14 +2,14 @@
 
 use crate::report::RunReport;
 use crate::system::SystemKind;
-use eve_common::Stats;
-use eve_core::EveEngine;
+use eve_common::{Cycle, Stats};
+use eve_core::{EveEngine, StallBreakdown};
 use eve_cpu::{EngineError, IoCore, NoVector, O3Core, VectorUnit};
-use eve_isa::{Characterization, Interpreter, IsaError, Program, Retired};
-use eve_mem::HierarchyConfig;
+use eve_isa::{Characterization, Interpreter, IsaError, Retired};
+use eve_mem::{Hierarchy, HierarchyConfig};
 use eve_obs::Tracer;
 use eve_vector::{DecoupledVector, IntegratedVector};
-use eve_workloads::Workload;
+use eve_workloads::{Built, Workload};
 use std::fmt;
 
 /// Simulation errors.
@@ -111,63 +111,15 @@ impl Runner {
         mem_cfg: HierarchyConfig,
     ) -> Result<RunReport, SimError> {
         let built = workload.build();
-        match system {
-            SystemKind::Io => {
-                let mut interp = Interpreter::new(built.scalar.clone(), built.memory.clone(), 1);
-                let mut core = IoCore::with_config(mem_cfg);
-                if let Some(t) = &self.tracer {
-                    core.set_tracer(t);
-                }
-                let mut c = Characterization::new();
-                let mut r = Retired::default();
-                while interp.step_into(&mut r)? {
-                    c.record(&r);
-                    core.retire(&r)?;
-                }
-                let cycles = core.finish();
-                built
-                    .verify(interp.memory())
-                    .map_err(SimError::Verification)?;
-                Ok(self.report(
-                    system,
-                    built.name,
-                    cycles,
-                    interp.retired_count(),
-                    core.stats(),
-                    c,
-                    None,
-                ))
-            }
-            SystemKind::O3 => self.run_o3(
+        with_core(
+            system,
+            Hierarchy::new(mem_cfg),
+            Solo {
+                runner: self,
                 system,
-                &built,
-                &built.scalar,
-                O3Core::with_unit(NoVector, mem_cfg),
-            ),
-            SystemKind::O3Iv => self.run_o3(
-                system,
-                &built,
-                &built.vector,
-                O3Core::with_unit(IntegratedVector::new(), mem_cfg),
-            ),
-            SystemKind::O3Dv => self.run_o3(
-                system,
-                &built,
-                &built.vector,
-                O3Core::with_unit(DecoupledVector::new(), mem_cfg),
-            ),
-            SystemKind::EveN(n) => {
-                let engine = EveEngine::new(n).map_err(|e| SimError::Config(e.to_string()))?;
-                // The L2 starts at full capacity; the engine halves it
-                // when it spawns (§V-E).
-                self.run_o3(
-                    system,
-                    &built,
-                    &built.vector,
-                    O3Core::with_unit(engine, mem_cfg),
-                )
-            }
-        }
+                built,
+            },
+        )
     }
 
     /// Simulates `workload` on an EVE-`n` engine with custom tuning
@@ -186,53 +138,37 @@ impl Runner {
     ) -> Result<RunReport, SimError> {
         let engine =
             EveEngine::with_tuning(n, tuning).map_err(|e| SimError::Config(e.to_string()))?;
-        let built = workload.build();
-        self.run_o3(
+        self.run_to_end(
             SystemKind::EveN(n),
-            &built,
-            &built.vector,
+            workload.build(),
             O3Core::with_unit(engine, mem_cfg),
         )
     }
 
-    /// Runs `program` on an O3 core at its unit's hardware vector
-    /// length: the scalar program on [`NoVector`] (VL 1), the vector
-    /// program on the other units.
-    fn run_o3<V: VectorUnit>(
+    /// Runs `built` on `core` from start to halt and reports it.
+    fn run_to_end<C: TimingCore>(
         &self,
         system: SystemKind,
-        built: &eve_workloads::Built,
-        program: &Program,
-        mut core: O3Core<V>,
-    ) -> Result<RunReport, SimError>
-    where
-        O3Core<V>: CoreStats<V>,
-    {
+        built: Built,
+        core: C,
+    ) -> Result<RunReport, SimError> {
+        let mut run = self.start(system, built, core);
+        while run.step()? {}
+        run.finish(self)
+    }
+
+    /// Hands `built`'s image and the program `system` runs to a new
+    /// [`CoreRun`] on `core`, with this runner's tracer attached.
+    pub(crate) fn start<C: TimingCore>(
+        &self,
+        system: SystemKind,
+        built: Built,
+        mut core: C,
+    ) -> CoreRun<C> {
         if let Some(t) = &self.tracer {
             core.set_tracer(t);
         }
-        let hw_vl = core.hw_vl();
-        let mut interp = Interpreter::new(program.clone(), built.memory.clone(), hw_vl);
-        let mut c = Characterization::new();
-        let mut r = Retired::default();
-        while interp.step_into(&mut r)? {
-            c.record(&r);
-            core.retire(&r)?;
-        }
-        let cycles = core.finish();
-        built
-            .verify(interp.memory())
-            .map_err(SimError::Verification)?;
-        let breakdown = core.breakdown();
-        Ok(self.report(
-            system,
-            built.name,
-            cycles,
-            interp.retired_count(),
-            core.stats(),
-            c,
-            breakdown,
-        ))
+        CoreRun::new(system, built, core)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -240,11 +176,11 @@ impl Runner {
         &self,
         system: SystemKind,
         workload: &'static str,
-        cycles: eve_common::Cycle,
+        cycles: Cycle,
         dyn_insts: u64,
         stats: Stats,
         characterization: Characterization,
-        breakdown: Option<eve_core::StallBreakdown>,
+        breakdown: Option<StallBreakdown>,
     ) -> RunReport {
         RunReport {
             system,
@@ -261,33 +197,232 @@ impl Runner {
     }
 }
 
+/// A timing model the interpreter's retired instructions feed: the IO
+/// core, or an O3 core with any vector unit.
+pub(crate) trait TimingCore {
+    /// The hardware vector length the program runs at.
+    fn hw_vl(&self) -> u32;
+    /// Attaches a tracer to the core and everything it owns.
+    fn set_tracer(&mut self, tracer: &Tracer);
+    /// Accounts one retired instruction.
+    fn retire(&mut self, r: &Retired) -> Result<(), EngineError>;
+    /// Drains outstanding work; returns the completion cycle.
+    fn finish(&mut self) -> Cycle;
+    /// The core's statistics merged with its hierarchy's.
+    fn stats(&self) -> Stats;
+    /// The Fig 7 breakdown, if the core hosts an EVE engine.
+    fn breakdown(&self) -> Option<StallBreakdown>;
+}
+
+impl TimingCore for IoCore {
+    fn hw_vl(&self) -> u32 {
+        1
+    }
+
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        IoCore::set_tracer(self, tracer);
+    }
+
+    fn retire(&mut self, r: &Retired) -> Result<(), EngineError> {
+        IoCore::retire(self, r)
+    }
+
+    fn finish(&mut self) -> Cycle {
+        IoCore::finish(self)
+    }
+
+    fn stats(&self) -> Stats {
+        IoCore::stats(self)
+    }
+
+    fn breakdown(&self) -> Option<StallBreakdown> {
+        None
+    }
+}
+
+impl<V: VectorUnit> TimingCore for O3Core<V>
+where
+    O3Core<V>: CoreStats<V>,
+{
+    fn hw_vl(&self) -> u32 {
+        O3Core::hw_vl(self)
+    }
+
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        O3Core::set_tracer(self, tracer);
+    }
+
+    fn retire(&mut self, r: &Retired) -> Result<(), EngineError> {
+        O3Core::retire(self, r)
+    }
+
+    fn finish(&mut self) -> Cycle {
+        O3Core::finish(self)
+    }
+
+    fn stats(&self) -> Stats {
+        O3Core::stats(self)
+    }
+
+    fn breakdown(&self) -> Option<StallBreakdown> {
+        CoreStats::breakdown(self)
+    }
+}
+
+/// What to do with a system's timing model once [`with_core`] has built
+/// it. The model arrives at its concrete type, so whatever drives it is
+/// compiled once per core type.
+pub(crate) trait WithCore {
+    /// What the continuation produces.
+    type Out;
+    /// Continues with `core`.
+    fn with<C: TimingCore + 'static>(self, core: C) -> Result<Self::Out, SimError>;
+}
+
+/// Builds `system`'s timing model over `mem` and hands it to `k`.
+pub(crate) fn with_core<K: WithCore>(
+    system: SystemKind,
+    mem: Hierarchy,
+    k: K,
+) -> Result<K::Out, SimError> {
+    match system {
+        SystemKind::Io => k.with(IoCore::with_hierarchy(mem)),
+        SystemKind::O3 => k.with(O3Core::with_unit_and_hierarchy(NoVector, mem)),
+        SystemKind::O3Iv => k.with(O3Core::with_unit_and_hierarchy(
+            IntegratedVector::new(),
+            mem,
+        )),
+        SystemKind::O3Dv => k.with(O3Core::with_unit_and_hierarchy(DecoupledVector::new(), mem)),
+        SystemKind::EveN(n) => {
+            let engine = EveEngine::new(n).map_err(|e| SimError::Config(e.to_string()))?;
+            // The L2 starts at full capacity; the engine halves it
+            // when it spawns (§V-E).
+            k.with(O3Core::with_unit_and_hierarchy(engine, mem))
+        }
+    }
+}
+
+/// A single-core run: [`Runner::run_to_end`] on whichever core
+/// [`with_core`] builds.
+struct Solo<'a> {
+    runner: &'a Runner,
+    system: SystemKind,
+    built: Built,
+}
+
+impl WithCore for Solo<'_> {
+    type Out = RunReport;
+
+    fn with<C: TimingCore + 'static>(self, core: C) -> Result<RunReport, SimError> {
+        self.runner.run_to_end(self.system, self.built, core)
+    }
+}
+
+/// One workload running on one core: the interpreter, fed instruction
+/// by instruction into the core's timing model.
+///
+/// The interpreter owns the memory image and program the workload was
+/// built into; they are moved in, not copied. A CMP core's image spans
+/// address 0 up to its own region, and only the pages the workload
+/// wrote are resident (`Memory::new`), so a copy would make every page
+/// below the region resident too.
+pub(crate) struct CoreRun<C> {
+    system: SystemKind,
+    /// The workload's name and golden outputs. Its image and the
+    /// program `system` runs have moved into `interp`.
+    built: Built,
+    pub(crate) interp: Interpreter,
+    /// The record every step is interpreted into.
+    pub(crate) retired: Retired,
+    chars: Characterization,
+    pub(crate) core: C,
+}
+
+impl<C: TimingCore> CoreRun<C> {
+    fn new(system: SystemKind, mut built: Built, core: C) -> Self {
+        let program = if system.is_vector() {
+            &mut built.vector
+        } else {
+            &mut built.scalar
+        };
+        let interp = Interpreter::new(
+            std::mem::take(program),
+            std::mem::take(&mut built.memory),
+            core.hw_vl(),
+        );
+        Self {
+            system,
+            built,
+            interp,
+            retired: Retired::default(),
+            chars: Characterization::new(),
+            core,
+        }
+    }
+
+    /// Executes and retires one instruction; `false` once halted.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Result<bool, SimError> {
+        if !self.interp.step_into(&mut self.retired)? {
+            return Ok(false);
+        }
+        self.chars.record(&self.retired);
+        self.core.retire(&self.retired)?;
+        Ok(true)
+    }
+
+    /// Drains the core and reports the run through `runner`, with
+    /// whether the outputs match the workload's golden values.
+    pub(crate) fn report(mut self, runner: &Runner) -> (RunReport, Result<(), String>) {
+        let cycles = self.core.finish();
+        let verdict = self.built.verify(self.interp.memory());
+        let report = runner.report(
+            self.system,
+            self.built.name,
+            cycles,
+            self.interp.retired_count(),
+            self.core.stats(),
+            self.chars,
+            self.core.breakdown(),
+        );
+        (report, verdict)
+    }
+
+    /// [`CoreRun::report`], failing the run on a golden-output mismatch.
+    pub(crate) fn finish(self, runner: &Runner) -> Result<RunReport, SimError> {
+        let (report, verdict) = self.report(runner);
+        verdict.map_err(SimError::Verification)?;
+        Ok(report)
+    }
+}
+
 /// Extracts the EVE stall breakdown from a core when its unit is an
 /// EVE engine; other units report none.
 pub trait CoreStats<V: VectorUnit> {
     /// The Fig 7 breakdown, if this core hosts an EVE engine.
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown>;
+    fn breakdown(&self) -> Option<StallBreakdown>;
 }
 
 impl CoreStats<NoVector> for O3Core<NoVector> {
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
+    fn breakdown(&self) -> Option<StallBreakdown> {
         None
     }
 }
 
 impl CoreStats<IntegratedVector> for O3Core<IntegratedVector> {
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
+    fn breakdown(&self) -> Option<StallBreakdown> {
         None
     }
 }
 
 impl CoreStats<DecoupledVector> for O3Core<DecoupledVector> {
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
+    fn breakdown(&self) -> Option<StallBreakdown> {
         None
     }
 }
 
 impl CoreStats<EveEngine> for O3Core<EveEngine> {
-    fn breakdown(&self) -> Option<eve_core::StallBreakdown> {
+    fn breakdown(&self) -> Option<StallBreakdown> {
         Some(*self.vector_unit().breakdown())
     }
 }
