@@ -188,10 +188,21 @@ impl Tracer {
         self.inner.borrow().buf.dropped()
     }
 
-    /// A snapshot of the counter/histogram registry.
+    /// A snapshot of the counter/histogram registry. Checks that only
+    /// read it borrow it with [`Tracer::with_registry`].
     #[must_use]
     pub fn registry(&self) -> CounterRegistry {
         self.inner.borrow().reg.clone()
+    }
+
+    /// Lends the counter/histogram registry to `f` without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` emits into this tracer through any handle: the
+    /// registry is on loan for the call.
+    pub fn with_registry<R>(&self, f: impl FnOnce(&CounterRegistry) -> R) -> R {
+        f(&self.inner.borrow().reg)
     }
 
     /// Discards the buffered events, the drop count and the registry,
@@ -258,5 +269,6 @@ mod tests {
         let reg = t.registry();
         assert_eq!(reg.counter("x"), 2);
         assert_eq!(reg.histogram("lat").unwrap().max(), 31);
+        assert_eq!(t.with_registry(|lent| lent.clone()), reg);
     }
 }

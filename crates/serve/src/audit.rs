@@ -31,7 +31,7 @@ use crate::elastic::ElasticEventKind;
 use crate::net::MsgClass;
 use eve_obs::audit::{check_bounds, check_monotonic, AuditError};
 use eve_obs::Tracer;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Why the serve audit rejected a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,9 +452,11 @@ pub fn audit_cluster(
         report.net.recoveries,
     )?;
 
-    // Counter registry vs report.
-    let reg = tracer.registry();
-    if !reg.is_empty() {
+    // Counter registry vs report, read in place.
+    tracer.with_registry(|reg| -> Result<(), ServeAuditFailure> {
+        if reg.is_empty() {
+            return Ok(());
+        }
         for (name, want) in [
             ("cluster.arrivals", report.arrivals),
             ("cluster.admitted", report.admitted),
@@ -508,13 +510,20 @@ pub fn audit_cluster(
         ] {
             ids.check(name, reg.counter(name), want)?;
         }
+        // One key buffer serves every per-shard counter.
+        let mut key = String::with_capacity(32);
         for (i, s) in report.shards_detail.iter().enumerate() {
-            let routed = format!("cluster.routed.s{i}");
-            ids.check(&routed, reg.counter(&routed), s.routed)?;
-            let steals_in = format!("cluster.steals_in.s{i}");
-            ids.check(&steals_in, reg.counter(&steals_in), s.steals_in)?;
+            for (stem, want) in [
+                ("cluster.routed.s", s.routed),
+                ("cluster.steals_in.s", s.steals_in),
+            ] {
+                key.clear();
+                write!(key, "{stem}{i}").expect("writing to a String cannot fail");
+                ids.check(&key, reg.counter(&key), want)?;
+            }
         }
-    }
+        Ok(())
+    })?;
 
     Ok(ClusterAuditSummary {
         events,

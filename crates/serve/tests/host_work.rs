@@ -1,6 +1,7 @@
 //! An exact host-work guard for the serving loop: the heap
-//! allocations `ClusterSim::run` makes per arrival, counted under a
-//! counting global allocator (this test binary only).
+//! allocations `ClusterSim::run` makes per arrival, and those
+//! `audit_cluster` makes per cell, counted under a counting global
+//! allocator (this test binary only).
 //!
 //! Wall time flakes with the host; an allocation count does not. The
 //! loop derives its shard-availability mask, prices and routes from
@@ -151,4 +152,31 @@ fn the_lossy_loop_allocates_at_most_two_per_arrival() {
         "ClusterSim::run made {per_arrival:.2} allocations per arrival at 5% loss \
          (budget {BUDGET_PER_ARRIVAL})"
     );
+}
+
+/// Most heap allocations `audit_cluster` may make on one cell. It
+/// borrows the trace and the counter registry and formats the
+/// per-shard counter keys into one buffer; copying the registry cost
+/// 57 on either cell.
+const AUDIT_BUDGET: u64 = 2;
+
+#[test]
+fn the_audit_reads_the_trace_and_registry_in_place() {
+    for (requests, net) in [
+        (2_500, NetPolicy::default()),
+        (1_500, NetPolicy::lossy(0.05)),
+    ] {
+        let (sim, tracer) = cell(requests, net);
+        let report = sim.run();
+        // The registry cross-check, per-shard keys included, must run.
+        assert!(tracer.with_registry(|reg| reg.counter("cluster.routed.s3") > 0));
+        let before = allocations();
+        eve_serve::audit_cluster(&tracer, &report).expect("the cell audits");
+        let made = allocations() - before;
+        assert!(
+            made <= AUDIT_BUDGET,
+            "audit_cluster made {made} allocations on a {requests}-arrival cell \
+             (budget {AUDIT_BUDGET})"
+        );
+    }
 }
