@@ -3,6 +3,12 @@
 //! Cycle-approximate models count [`Cycle`]s; because EVE-16 and EVE-32 run
 //! at a slower clock (§VI.B of the paper), comparing machines requires
 //! converting cycles to [`Picos`] through each machine's cycle time.
+//!
+//! Every timing model runs this arithmetic several times per simulated
+//! instruction, from other crates, so every public item is `#[inline]`
+//! (the lint below keeps it so).
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 use std::iter::Sum;
@@ -30,12 +36,14 @@ impl Cycle {
     pub const ZERO: Cycle = Cycle(0);
 
     /// Returns the later of two cycle counts.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
 
     /// Returns the earlier of two cycle counts.
+    #[inline]
     #[must_use]
     pub fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
@@ -43,12 +51,14 @@ impl Cycle {
 
     /// Duration from `earlier` to `self`, clamping at zero if `earlier`
     /// is actually later.
+    #[inline]
     #[must_use]
     pub fn saturating_since(self, earlier: Cycle) -> Cycle {
         Cycle(self.0.saturating_sub(earlier.0))
     }
 
     /// Converts this cycle count to picoseconds at the given cycle time.
+    #[inline]
     #[must_use]
     pub fn to_picos(self, cycle_time: Picos) -> Picos {
         Picos(self.0.saturating_mul(cycle_time.0))
@@ -57,12 +67,14 @@ impl Cycle {
 
 impl Add for Cycle {
     type Output = Cycle;
+    #[inline]
     fn add(self, rhs: Cycle) -> Cycle {
         Cycle(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Cycle {
+    #[inline]
     fn add_assign(&mut self, rhs: Cycle) {
         self.0 += rhs.0;
     }
@@ -70,12 +82,14 @@ impl AddAssign for Cycle {
 
 impl Sub for Cycle {
     type Output = Cycle;
+    #[inline]
     fn sub(self, rhs: Cycle) -> Cycle {
         Cycle(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Cycle {
+    #[inline]
     fn sub_assign(&mut self, rhs: Cycle) {
         self.0 -= rhs.0;
     }
@@ -83,24 +97,28 @@ impl SubAssign for Cycle {
 
 impl Mul<u64> for Cycle {
     type Output = Cycle;
+    #[inline]
     fn mul(self, rhs: u64) -> Cycle {
         Cycle(self.0 * rhs)
     }
 }
 
 impl Sum for Cycle {
+    #[inline]
     fn sum<I: Iterator<Item = Cycle>>(iter: I) -> Cycle {
         Cycle(iter.map(|c| c.0).sum())
     }
 }
 
 impl fmt::Display for Cycle {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} cycles", self.0)
     }
 }
 
 impl From<u64> for Cycle {
+    #[inline]
     fn from(v: u64) -> Cycle {
         Cycle(v)
     }
@@ -123,12 +141,14 @@ pub struct Picos(pub u64);
 
 impl Picos {
     /// Scales this duration by `percent`/100 with integer rounding.
+    #[inline]
     #[must_use]
     pub fn scale_percent(self, percent: u64) -> Picos {
         Picos((self.0 * percent + 50) / 100)
     }
 
     /// This duration expressed in nanoseconds (lossy).
+    #[inline]
     #[must_use]
     pub fn as_nanos_f64(self) -> f64 {
         self.0 as f64 / 1000.0
@@ -137,24 +157,28 @@ impl Picos {
 
 impl Add for Picos {
     type Output = Picos;
+    #[inline]
     fn add(self, rhs: Picos) -> Picos {
         Picos(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Picos {
+    #[inline]
     fn add_assign(&mut self, rhs: Picos) {
         self.0 += rhs.0;
     }
 }
 
 impl Sum for Picos {
+    #[inline]
     fn sum<I: Iterator<Item = Picos>>(iter: I) -> Picos {
         Picos(iter.map(|p| p.0).sum())
     }
 }
 
 impl fmt::Display for Picos {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3} ns", self.as_nanos_f64())
     }

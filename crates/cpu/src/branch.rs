@@ -38,17 +38,20 @@ impl BranchPredictor {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u32) -> usize {
         pc as usize & (self.table.len() - 1)
     }
 
     /// Predicts the direction of the branch at `pc`.
+    #[inline]
     #[must_use]
     pub fn predict(&self, pc: u32) -> bool {
         self.table[self.index(pc)] >= 2
     }
 
     /// Trains the counter with the resolved direction.
+    #[inline]
     pub fn update(&mut self, pc: u32, taken: bool) {
         let i = self.index(pc);
         let e = &mut self.table[i];
