@@ -15,6 +15,7 @@ use crate::inst::{
 };
 use crate::mem::Memory;
 use crate::reg::{RegId, Vreg, Xreg};
+use std::cell::Cell;
 use std::fmt;
 
 /// Errors from assembling or executing kernel-IR programs.
@@ -144,9 +145,23 @@ impl Default for Retired {
     }
 }
 
-/// The vector register file's extra slot past `v31`: where a source
-/// that its own destination overwrites is copied first.
+/// The vector register file's first extra slot past `v31`: where a
+/// source that its own destination overwrites is copied first, and
+/// where a `.vx`/`.vi` operand is splatted.
 const SCRATCH: usize = 32;
+/// The second extra slot: every lane 1, the mask of an unmasked
+/// element-wise instruction.
+const ONES: usize = 33;
+
+/// Runs `$lanes.map` with `$f($ty::V, ..)` for the variant `V` that
+/// `$op` holds, so each loop is compiled for one fixed operation.
+macro_rules! per_variant {
+    ($op:expr, $lanes:expr, $f:ident, $ty:ident { $($v:ident)* }) => {
+        match $op {
+            $($ty::$v => $lanes.map(|d, x, y| $f($ty::$v, d, x, y)),)*
+        }
+    };
+}
 
 /// Functional interpreter over a [`Program`] and a [`Memory`].
 ///
@@ -158,7 +173,8 @@ pub struct Interpreter {
     prog: Program,
     mem: Memory,
     x: [i64; 32],
-    /// `v0`..`v31` and the scratch register, `hw_vl` elements each.
+    /// `v0`..`v31`, the scratch register and the all-ones register,
+    /// `hw_vl` elements each.
     v: Vec<u32>,
     vl: u32,
     hw_vl: u32,
@@ -176,11 +192,14 @@ impl Interpreter {
     #[must_use]
     pub fn new(prog: Program, mem: Memory, hw_vl: u32) -> Self {
         assert!(hw_vl > 0, "hardware vector length must be nonzero");
+        let hw = hw_vl as usize;
+        let mut v = vec![0; (ONES + 1) * hw];
+        v[ONES * hw..].fill(1);
         Self {
             prog,
             mem,
             x: [0; 32],
-            v: vec![0; (SCRATCH + 1) * hw_vl as usize],
+            v,
             vl: hw_vl,
             hw_vl,
             pc: 0,
@@ -296,13 +315,6 @@ impl Interpreter {
         }
     }
 
-    fn at(&self, rhs: Operand, i: usize) -> u32 {
-        match rhs {
-            Operand::Reg(base) => self.v[base + i],
-            Operand::Splat(b) => b,
-        }
-    }
-
     fn operand_read(rhs: VOperand) -> Option<RegId> {
         match rhs {
             VOperand::Reg(v) => Some(RegId::V(v)),
@@ -368,7 +380,6 @@ impl Interpreter {
             return Err(IsaError::PcOutOfRange(pc));
         };
         let vl = self.vl;
-        let n = vl as usize;
         out.seq = self.seq;
         out.pc = pc;
         out.inst = inst;
@@ -481,6 +492,34 @@ impl Interpreter {
                 out.write = Some(RegId::X(rd));
             }
             Inst::VMFence => {}
+            Inst::VLoad { .. }
+            | Inst::VStore { .. }
+            | Inst::VOp { .. }
+            | Inst::VCmp { .. }
+            | Inst::VMerge { .. }
+            | Inst::VMask { .. }
+            | Inst::VMv { .. }
+            | Inst::VMvXS { .. }
+            | Inst::VMvSX { .. }
+            | Inst::VRed { .. }
+            | Inst::VSlide { .. }
+            | Inst::VRGather { .. }
+            | Inst::VId { .. } => self.step_vector(inst, out),
+        }
+
+        self.pc = next;
+        self.seq += 1;
+        Ok(true)
+    }
+
+    /// Executes one vector-register instruction, outlined so that
+    /// [`Self::step_into`]'s scalar dispatch stays small. Each arm
+    /// resolves its operation, operand kind, stride and mask once and
+    /// then runs one kernel over the first `vl` elements.
+    #[inline(never)]
+    fn step_vector(&mut self, inst: Inst, out: &mut Retired) {
+        let n = self.vl as usize;
+        match inst {
             Inst::VLoad {
                 vd,
                 base,
@@ -495,12 +534,19 @@ impl Interpreter {
                 let b = self.rx(base) as u64;
                 out.mem = self.vmem_effect(b, stride, false, &mut out.addrs);
                 let d = self.vbase(vd);
-                for i in 0..n {
-                    if masked && self.masked_off(i) {
-                        continue;
+                match stride {
+                    VStride::Unit if !masked => {
+                        self.mem.load_u32_span(b, &mut self.v[d..d + n]);
                     }
-                    let addr = self.velem_addr(b, stride, i);
-                    self.v[d + i] = self.mem.load_u32(addr);
+                    VStride::Unit => self.load_elems(d, n, masked, |i| b + i as u64 * 4),
+                    VStride::Strided(r) => {
+                        let s = self.rx(r);
+                        self.load_elems(d, n, masked, |i| (b as i64 + s * i as i64) as u64);
+                    }
+                    VStride::Indexed(_) => {
+                        let addrs = &out.addrs;
+                        self.load_elems(d, n, masked, |i| addrs[i]);
+                    }
                 }
                 out.write = Some(RegId::V(vd));
             }
@@ -519,12 +565,19 @@ impl Interpreter {
                 let b = self.rx(base) as u64;
                 out.mem = self.vmem_effect(b, stride, true, &mut out.addrs);
                 let s = self.vbase(vs);
-                for i in 0..n {
-                    if masked && self.masked_off(i) {
-                        continue;
+                match stride {
+                    VStride::Unit if !masked => {
+                        self.mem.store_u32_span(b, &self.v[s..s + n]);
                     }
-                    let addr = self.velem_addr(b, stride, i);
-                    self.mem.store_u32(addr, self.v[s + i]);
+                    VStride::Unit => self.store_elems(s, n, masked, |i| b + i as u64 * 4),
+                    VStride::Strided(r) => {
+                        let st = self.rx(r);
+                        self.store_elems(s, n, masked, |i| (b as i64 + st * i as i64) as u64);
+                    }
+                    VStride::Indexed(_) => {
+                        let addrs = &out.addrs;
+                        self.store_elems(s, n, masked, |i| addrs[i]);
+                    }
                 }
             }
             Inst::VOp {
@@ -534,38 +587,28 @@ impl Interpreter {
                 rhs,
                 masked,
             } => {
-                let macc = op == VArithOp::Macc;
                 // Accumulating ops also read the destination.
                 out.reads = packed([
                     Some(RegId::V(vs1)),
                     Self::operand_read(rhs),
                     masked.then_some(RegId::V(Vreg::new(0))),
-                    macc.then_some(RegId::V(vd)),
+                    (op == VArithOp::Macc).then_some(RegId::V(vd)),
                 ]);
-                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                let b = self.operand(rhs);
                 out.scalar_operand = b.splat();
-                // Element i reads only element i of each source, so the
-                // destination is written in place.
-                for i in 0..n {
-                    if masked && self.masked_off(i) {
-                        continue;
-                    }
-                    let (x, y) = (self.v[a + i], self.at(b, i));
-                    self.v[d + i] = if macc {
-                        self.v[d + i].wrapping_add(x.wrapping_mul(y))
-                    } else {
-                        varith(op, x, y)
-                    };
-                }
+                per_variant!(op, self.lanes(vd, vs1, b, masked), arith_lane, VArithOp {
+                    Add Sub Rsub Mul Macc Mulh Mulhu Div Divu Rem Remu
+                    And Or Xor Sll Srl Sra Min Max Minu Maxu
+                });
                 out.write = Some(RegId::V(vd));
             }
             Inst::VCmp { cond, vd, vs1, rhs } => {
                 out.reads = packed([Some(RegId::V(vs1)), Self::operand_read(rhs)]);
-                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                let b = self.operand(rhs);
                 out.scalar_operand = b.splat();
-                for i in 0..n {
-                    self.v[d + i] = u32::from(vcmp(cond, self.v[a + i], self.at(b, i)));
-                }
+                per_variant!(cond, self.lanes(vd, vs1, b, false), cmp_lane, VCmpCond {
+                    Eq Ne Lt Ltu Le Leu Gt Gtu
+                });
                 out.write = Some(RegId::V(vd));
             }
             Inst::VMerge { vd, vs1, rhs } => {
@@ -574,15 +617,9 @@ impl Interpreter {
                     Self::operand_read(rhs),
                     Some(RegId::V(Vreg::new(0))),
                 ]);
-                let (d, a, b) = (self.vbase(vd), self.vbase(vs1), self.operand(rhs));
+                let b = self.operand(rhs);
                 out.scalar_operand = b.splat();
-                for i in 0..n {
-                    self.v[d + i] = if self.masked_off(i) {
-                        self.at(b, i)
-                    } else {
-                        self.v[a + i]
-                    };
-                }
+                self.lanes(vd, vs1, b, true).select();
                 out.write = Some(RegId::V(vd));
             }
             Inst::VMask { op, md, m1, m2 } => {
@@ -590,26 +627,21 @@ impl Interpreter {
                     Some(RegId::V(m1)),
                     (op != MaskOp::Not).then_some(RegId::V(m2)),
                 ]);
-                let (d, a, b) = (self.vbase(md), self.vbase(m1), self.vbase(m2));
-                for i in 0..n {
-                    let x = self.v[a + i] & 1;
-                    let y = self.v[b + i] & 1;
-                    self.v[d + i] = match op {
-                        MaskOp::And => x & y,
-                        MaskOp::Or => x | y,
-                        MaskOp::Xor => x ^ y,
-                        MaskOp::AndNot => x & (1 - y),
-                        MaskOp::Not => 1 - x,
-                    };
-                }
+                let b = Operand::Reg(self.vbase(m2));
+                per_variant!(op, self.lanes(md, m1, b, false), mask_lane, MaskOp {
+                    And Or Xor AndNot Not
+                });
                 out.write = Some(RegId::V(md));
             }
             Inst::VMv { vd, rhs } => {
                 out.reads = packed([Self::operand_read(rhs)]);
-                let (d, b) = (self.vbase(vd), self.operand(rhs));
-                out.scalar_operand = b.splat();
-                for i in 0..n {
-                    self.v[d + i] = self.at(b, i);
+                let d = self.vbase(vd);
+                match self.operand(rhs) {
+                    Operand::Reg(b) => self.v.copy_within(b..b + n, d),
+                    Operand::Splat(k) => {
+                        self.v[d..d + n].fill(k);
+                        out.scalar_operand = Some(k);
+                    }
                 }
                 out.write = Some(RegId::V(vd));
             }
@@ -629,16 +661,15 @@ impl Interpreter {
                 out.reads[0] = Some(RegId::V(vs2));
                 out.reads[1] = Some(RegId::V(vs1));
                 let s = self.vbase(vs2);
-                let mut acc = self.v[self.vbase(vs1)];
-                for &e in &self.v[s..s + n] {
-                    acc = match op {
-                        RedOp::Sum => acc.wrapping_add(e),
-                        RedOp::Min => (acc as i32).min(e as i32) as u32,
-                        RedOp::Max => (acc as i32).max(e as i32) as u32,
-                        RedOp::Minu => acc.min(e),
-                        RedOp::Maxu => acc.max(e),
-                    };
-                }
+                let acc = self.v[self.vbase(vs1)];
+                let elems = self.v[s..s + n].iter().copied();
+                let acc = match op {
+                    RedOp::Sum => elems.fold(acc, u32::wrapping_add),
+                    RedOp::Min => elems.fold(acc, |a, e| (a as i32).min(e as i32) as u32),
+                    RedOp::Max => elems.fold(acc, |a, e| (a as i32).max(e as i32) as u32),
+                    RedOp::Minu => elems.fold(acc, u32::min),
+                    RedOp::Maxu => elems.fold(acc, u32::max),
+                };
                 let d = self.vbase(vd);
                 self.v[d] = acc;
                 out.write = Some(RegId::V(vd));
@@ -680,18 +711,62 @@ impl Interpreter {
                 }
                 out.write = Some(RegId::V(vd));
             }
+            Inst::Li { .. }
+            | Inst::Op { .. }
+            | Inst::OpImm { .. }
+            | Inst::Load { .. }
+            | Inst::Store { .. }
+            | Inst::Branch { .. }
+            | Inst::Jump { .. }
+            | Inst::Halt
+            | Inst::SetVl { .. }
+            | Inst::VMFence => unreachable!("{inst:?} runs in step_into"),
         }
-
-        self.pc = next;
-        self.seq += 1;
-        Ok(true)
     }
 
-    fn velem_addr(&self, base: u64, stride: VStride, i: usize) -> u64 {
-        match stride {
-            VStride::Unit => base + i as u64 * 4,
-            VStride::Strided(r) => (base as i64 + self.rx(r) * i as i64) as u64,
-            VStride::Indexed(idx) => base + u64::from(self.v[self.vbase(idx) + i]),
+    /// The first `vl` lanes of `vd`, `vs1` and `b` (a `.vx`/`.vi` value
+    /// splatted into the scratch register), and of `v0` when `masked` or
+    /// the all-ones register when not, for one element-wise kernel.
+    fn lanes(&mut self, vd: Vreg, vs1: Vreg, b: Operand, masked: bool) -> Lanes<'_> {
+        let (n, hw) = (self.vl as usize, self.hw_vl as usize);
+        let b = match b {
+            Operand::Reg(b) => b,
+            Operand::Splat(k) => {
+                self.v[SCRATCH * hw..SCRATCH * hw + n].fill(k);
+                SCRATCH * hw
+            }
+        };
+        let m = if masked { 0 } else { ONES * hw };
+        let (d, a) = (self.vbase(vd), self.vbase(vs1));
+        let v = Cell::from_mut(&mut self.v[..]).as_slice_of_cells();
+        Lanes {
+            dst: &v[d..d + n],
+            a: &v[a..a + n],
+            b: &v[b..b + n],
+            mask: &v[m..m + n],
+        }
+    }
+
+    /// Loads element `i` of `n` into the register at `d` from `addr(i)`,
+    /// in element order and skipping masked-off elements, so an access
+    /// faults at its first active element out of bounds.
+    fn load_elems(&mut self, d: usize, n: usize, masked: bool, addr: impl Fn(usize) -> u64) {
+        for i in 0..n {
+            if masked && self.masked_off(i) {
+                continue;
+            }
+            self.v[d + i] = self.mem.load_u32(addr(i));
+        }
+    }
+
+    /// Stores element `i` of `n` of the register at `s` to `addr(i)`, as
+    /// [`Self::load_elems`] loads.
+    fn store_elems(&mut self, s: usize, n: usize, masked: bool, addr: impl Fn(usize) -> u64) {
+        for i in 0..n {
+            if masked && self.masked_off(i) {
+                continue;
+            }
+            self.mem.store_u32(addr(i), self.v[s + i]);
         }
     }
 
@@ -764,6 +839,44 @@ impl Operand {
     }
 }
 
+/// An element-wise instruction's operands, resolved once: the first
+/// `vl` lanes of its destination, its two sources and its mask. The
+/// register file is viewed as cells, so the destination may be any of
+/// the others.
+struct Lanes<'a> {
+    dst: &'a [Cell<u32>],
+    a: &'a [Cell<u32>],
+    b: &'a [Cell<u32>],
+    mask: &'a [Cell<u32>],
+}
+
+impl Lanes<'_> {
+    /// Sets lane `i` of the destination to `f(dst[i], a[i], b[i])` where
+    /// bit 0 of the mask's lane `i` is set, and leaves it as it was
+    /// elsewhere. A lane is read just before it is written and no lane
+    /// reads another, so the result is the element-by-element one
+    /// whichever registers alias. `f` is total, so evaluating it on a
+    /// masked-off lane has no effect.
+    #[inline(always)]
+    fn map(self, f: impl Fn(u32, u32, u32) -> u32) {
+        let Self { dst, a, b, mask } = self;
+        for (((d, x), y), m) in dst.iter().zip(a).zip(b).zip(mask) {
+            let old = d.get();
+            let new = f(old, x.get(), y.get());
+            d.set(if m.get() & 1 != 0 { new } else { old });
+        }
+    }
+
+    /// `vmerge`: lane `i` takes `a[i]` where bit 0 of `v0`'s lane `i`
+    /// is set and `b[i]` where it is clear.
+    fn select(self) {
+        let Self { dst, a, b, mask } = self;
+        for (((d, x), y), m) in dst.iter().zip(a).zip(b).zip(mask) {
+            d.set(if m.get() & 1 != 0 { x.get() } else { y.get() });
+        }
+    }
+}
+
 /// The index register of an indexed access, the last source it reads.
 fn indexed_by(stride: VStride) -> Option<RegId> {
     match stride {
@@ -811,6 +924,38 @@ fn scalar_op(op: ScalarOp, a: i64, b: i64) -> i64 {
     }
 }
 
+/// Element `i` of a `VOp`: `d` is the destination's old value, which
+/// only `Macc` reads.
+#[inline(always)]
+fn arith_lane(op: VArithOp, d: u32, a: u32, b: u32) -> u32 {
+    if op == VArithOp::Macc {
+        d.wrapping_add(a.wrapping_mul(b))
+    } else {
+        varith(op, a, b)
+    }
+}
+
+/// Element `i` of a `VCmp`: 1 where the condition holds.
+#[inline(always)]
+fn cmp_lane(cond: VCmpCond, _d: u32, a: u32, b: u32) -> u32 {
+    u32::from(vcmp(cond, a, b))
+}
+
+/// Element `i` of a `VMask`: the op on bit 0 of each source (`m2`'s is
+/// ignored by `Not`).
+#[inline(always)]
+fn mask_lane(op: MaskOp, _d: u32, a: u32, b: u32) -> u32 {
+    let (x, y) = (a & 1, b & 1);
+    match op {
+        MaskOp::And => x & y,
+        MaskOp::Or => x | y,
+        MaskOp::Xor => x ^ y,
+        MaskOp::AndNot => x & (1 - y),
+        MaskOp::Not => 1 - x,
+    }
+}
+
+#[inline(always)]
 fn varith(op: VArithOp, a: u32, b: u32) -> u32 {
     let (ai, bi) = (a as i32, b as i32);
     match op {
@@ -853,6 +998,7 @@ fn varith(op: VArithOp, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline(always)]
 fn vcmp(cond: VCmpCond, a: u32, b: u32) -> bool {
     let (ai, bi) = (a as i32, b as i32);
     match cond {
@@ -866,6 +1012,9 @@ fn vcmp(cond: VCmpCond, a: u32, b: u32) -> bool {
         VCmpCond::Gtu => a > b,
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,7 @@
 //! Flat byte-addressable simulated memory.
 
+use std::ops::Range;
+
 /// Little-endian flat memory used by the functional interpreter.
 ///
 /// Addresses start at zero; workloads conventionally place data from
@@ -38,26 +40,33 @@ impl Memory {
         self.bytes.len()
     }
 
-    fn slice(&self, addr: u64, len: u64) -> &[u8] {
+    /// The byte range `addr..addr + len`, if it lies inside memory.
+    fn span(&self, addr: u64, len: u64) -> Option<Range<usize>> {
         let a = addr as usize;
-        let l = len as usize;
-        assert!(
-            a.checked_add(l).is_some_and(|end| end <= self.bytes.len()),
+        let end = a.checked_add(len as usize)?;
+        (end <= self.bytes.len()).then_some(a..end)
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, addr: u64, len: u64) -> ! {
+        panic!(
             "memory access at {addr:#x}+{len} out of bounds ({} bytes)",
             self.bytes.len()
-        );
-        &self.bytes[a..a + l]
+        )
+    }
+
+    fn slice(&self, addr: u64, len: u64) -> &[u8] {
+        match self.span(addr, len) {
+            Some(r) => &self.bytes[r],
+            None => self.out_of_bounds(addr, len),
+        }
     }
 
     fn slice_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
-        let a = addr as usize;
-        let l = len as usize;
-        assert!(
-            a.checked_add(l).is_some_and(|end| end <= self.bytes.len()),
-            "memory access at {addr:#x}+{len} out of bounds ({} bytes)",
-            self.bytes.len()
-        );
-        &mut self.bytes[a..a + l]
+        match self.span(addr, len) {
+            Some(r) => &mut self.bytes[r],
+            None => self.out_of_bounds(addr, len),
+        }
     }
 
     /// Loads one byte.
@@ -107,19 +116,55 @@ impl Memory {
             .copy_from_slice(&value.to_le_bytes());
     }
 
+    /// Loads consecutive 32-bit words starting at `addr` into `dst`,
+    /// checking the span's bounds once. A span that runs past the end
+    /// loads word by word instead, so it panics at its first
+    /// out-of-bounds word just as [`Self::load_u32`] would there; an
+    /// empty span touches nothing.
+    pub(crate) fn load_u32_span(&self, addr: u64, dst: &mut [u32]) {
+        match self.span(addr, dst.len() as u64 * 4) {
+            Some(r) => {
+                for (d, w) in dst.iter_mut().zip(self.bytes[r].chunks_exact(4)) {
+                    *d = u32::from_le_bytes(w.try_into().expect("len 4"));
+                }
+            }
+            None => {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = self.load_u32(addr + i as u64 * 4);
+                }
+            }
+        }
+    }
+
+    /// Stores `src` as consecutive 32-bit words starting at `addr`, with
+    /// the bounds checks of [`Self::load_u32_span`]: once for the span,
+    /// or word by word up to the first out-of-bounds word.
+    pub(crate) fn store_u32_span(&mut self, addr: u64, src: &[u32]) {
+        match self.span(addr, src.len() as u64 * 4) {
+            Some(r) => {
+                for (w, v) in self.bytes[r].chunks_exact_mut(4).zip(src) {
+                    w.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            None => {
+                for (i, &v) in src.iter().enumerate() {
+                    self.store_u32(addr + i as u64 * 4, v);
+                }
+            }
+        }
+    }
+
     /// Reads `count` consecutive 32-bit words starting at `addr`.
     #[must_use]
     pub fn load_u32_slice(&self, addr: u64, count: usize) -> Vec<u32> {
-        (0..count)
-            .map(|i| self.load_u32(addr + i as u64 * 4))
-            .collect()
+        let mut words = vec![0; count];
+        self.load_u32_span(addr, &mut words);
+        words
     }
 
     /// Writes consecutive 32-bit words starting at `addr`.
     pub fn store_u32_slice(&mut self, addr: u64, values: &[u32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.store_u32(addr + i as u64 * 4, v);
-        }
+        self.store_u32_span(addr, values);
     }
 }
 
@@ -153,6 +198,32 @@ mod tests {
         let mut m = Memory::new(64);
         m.store_u32_slice(16, &[1, 2, 3]);
         assert_eq!(m.load_u32_slice(16, 3), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn spans_check_bounds_once_and_empty_spans_touch_nothing() {
+        let mut m = Memory::new(16);
+        m.store_u32_span(4, &[7, 8, 9]);
+        let mut words = [0; 3];
+        m.load_u32_span(4, &mut words);
+        assert_eq!(words, [7, 8, 9]);
+        m.load_u32_span(1 << 40, &mut []);
+        m.store_u32_span(u64::MAX, &[]);
+    }
+
+    #[test]
+    fn a_span_past_the_end_stores_word_by_word_to_its_first_outside_word() {
+        let mut m = Memory::new(16);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.store_u32_span(8, &[1, 2, 3]);
+        }));
+        let msg = r.expect_err("the third word is out of bounds");
+        let msg = msg.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.contains("memory access at 0x10+4 out of bounds"),
+            "{msg}"
+        );
+        assert_eq!(m.load_u32_slice(8, 2), vec![1, 2]);
     }
 
     #[test]
