@@ -4,8 +4,8 @@
 use crate::mapping::macro_ops;
 use crate::stats::StallBreakdown;
 use eve_common::{counter_slots, ConfigError, ConfigResult, Counters, Cycle, Stats};
-use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
-use eve_isa::{Inst, MemEffect, RegId, Retired, VStride};
+use eve_cpu::{fill_line_requests, EngineError, VectorPlacement, VectorUnit};
+use eve_isa::{Inst, RegId, Retired, VStride};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
 use eve_obs::Tracer;
 use eve_sram::{LayoutModel, SramGeometry};
@@ -422,37 +422,6 @@ impl EveEngine {
         }
     }
 
-    /// Collects a memory instruction's deduplicated line requests into
-    /// `lines` — a caller-owned scratch buffer (see `line_buf`), so
-    /// the per-instruction hot path does not allocate.
-    fn fill_line_requests(lines: &mut Vec<u64>, r: &Retired) {
-        lines.clear();
-        match &r.mem {
-            MemEffect::VecUnit { base, bytes, .. } => {
-                if *bytes == 0 {
-                    return;
-                }
-                let first = base / LINE_BYTES;
-                let last = (base + bytes - 1) / LINE_BYTES;
-                lines.extend(first..=last);
-            }
-            MemEffect::VecStrided {
-                base,
-                stride,
-                count,
-                ..
-            } => lines.extend(
-                (0..u64::from(*count))
-                    .map(|i| ((*base as i64 + stride * i as i64) as u64) / LINE_BYTES),
-            ),
-            MemEffect::VecIndexed { .. } => {
-                lines.extend(r.addrs.iter().map(|a| a / LINE_BYTES));
-            }
-            _ => {}
-        }
-        lines.dedup();
-    }
-
     /// One VMU line request: generation + translation (one cycle),
     /// retried while the LLC has no free MSHR.
     fn vmu_request(
@@ -503,7 +472,7 @@ impl EveEngine {
         }
 
         let mut lines = std::mem::take(&mut self.line_buf);
-        Self::fill_line_requests(&mut lines, r);
+        fill_line_requests(&mut lines, r);
         let mut t = self
             .vmu_now
             .max(accept)
@@ -578,7 +547,7 @@ impl EveEngine {
         // Detranspose on the DTUs; a deep backlog stalls the VSU.
         let dt = self.dtu_line_cycles();
         let mut lines = std::mem::take(&mut self.line_buf);
-        Self::fill_line_requests(&mut lines, r);
+        fill_line_requests(&mut lines, r);
         let mut detr_done = self.vsu_now;
         for _ in &lines {
             if dt == 0 {
@@ -822,7 +791,7 @@ impl VectorUnit for EveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eve_isa::{vreg, xreg, VArithOp, VOperand};
+    use eve_isa::{vreg, xreg, MemEffect, VArithOp, VOperand};
     use eve_mem::HierarchyConfig;
 
     fn retired(inst: Inst, vl: u32) -> Retired {
@@ -1243,7 +1212,7 @@ mod tests {
 #[cfg(test)]
 mod path_tests {
     use super::*;
-    use eve_isa::{vreg, xreg, VStride};
+    use eve_isa::{vreg, xreg, MemEffect, VStride};
     use eve_mem::HierarchyConfig;
 
     fn retired(inst: Inst, vl: u32) -> Retired {

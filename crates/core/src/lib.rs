@@ -42,5 +42,5 @@ pub mod mapping;
 pub mod stats;
 
 pub use engine::{EccMode, EngineTuning, EveEngine, ResilienceConfig, EVE_ARRAYS};
-pub use mapping::macro_ops;
+pub use mapping::{macro_ops, MacroOps};
 pub use stats::StallBreakdown;

@@ -19,34 +19,79 @@ fn splat_value(scalar_operand: Option<u32>) -> u32 {
     scalar_operand.unwrap_or(0)
 }
 
+/// The macro-operations of one compute instruction, held inline so the
+/// VCU's decode allocates nothing. Derefs to the ops in issue order;
+/// the slots past them hold copies and are never read.
+#[derive(Clone, Copy)]
+pub struct MacroOps {
+    ops: [MacroOpKind; MacroOps::CAPACITY],
+    len: u8,
+}
+
+impl MacroOps {
+    /// The most macro-operations one instruction maps to: a splat, a
+    /// compare and a mask inversion for `vmsle.vx`.
+    const CAPACITY: usize = 3;
+
+    fn one(op: MacroOpKind) -> Self {
+        Self {
+            ops: [op; Self::CAPACITY],
+            len: 1,
+        }
+    }
+
+    /// `op`, after a `Splat` of the scalar operand when `rhs` is one.
+    fn after_splat(rhs: VOperand, scalar_operand: Option<u32>, op: MacroOpKind) -> Self {
+        if needs_splat(rhs) {
+            Self::one(MacroOpKind::Splat(splat_value(scalar_operand))).then(op)
+        } else {
+            Self::one(op)
+        }
+    }
+
+    fn then(mut self, op: MacroOpKind) -> Self {
+        self.ops[usize::from(self.len)] = op;
+        self.len += 1;
+        self
+    }
+}
+
+impl std::ops::Deref for MacroOps {
+    type Target = [MacroOpKind];
+
+    fn deref(&self) -> &[MacroOpKind] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for MacroOps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Macro-operations the VCU generates for a compute instruction.
 /// Returns `None` for instructions that are not VSU compute work
 /// (memory, reductions, cross-element, fences — those go to the
 /// VMU/VRU paths).
 #[must_use]
-pub fn macro_ops(inst: &Inst, scalar_operand: Option<u32>) -> Option<Vec<MacroOpKind>> {
+pub fn macro_ops(inst: &Inst, scalar_operand: Option<u32>) -> Option<MacroOps> {
     use MacroOpKind as M;
     let ops = match *inst {
         Inst::VOp { op, rhs, .. } => {
-            let mut v = Vec::new();
             let k = splat_value(scalar_operand);
+            let imm = needs_splat(rhs);
             match op {
-                VArithOp::Sll | VArithOp::Srl | VArithOp::Sra => {
-                    let imm = !matches!(rhs, VOperand::Reg(_));
-                    v.push(match (op, imm) {
-                        (VArithOp::Sll, true) => M::SllI((k & 31) as u8),
-                        (VArithOp::Srl, true) => M::SrlI((k & 31) as u8),
-                        (VArithOp::Sra, true) => M::SraI((k & 31) as u8),
-                        (VArithOp::Sll, false) => M::SllV,
-                        (VArithOp::Srl, false) => M::SrlV,
-                        _ => M::SraV,
-                    });
-                }
-                _ => {
-                    if needs_splat(rhs) {
-                        v.push(M::Splat(k));
-                    }
-                    v.push(match op {
+                VArithOp::Sll if imm => MacroOps::one(M::SllI((k & 31) as u8)),
+                VArithOp::Srl if imm => MacroOps::one(M::SrlI((k & 31) as u8)),
+                VArithOp::Sra if imm => MacroOps::one(M::SraI((k & 31) as u8)),
+                VArithOp::Sll => MacroOps::one(M::SllV),
+                VArithOp::Srl => MacroOps::one(M::SrlV),
+                VArithOp::Sra => MacroOps::one(M::SraV),
+                _ => MacroOps::after_splat(
+                    rhs,
+                    scalar_operand,
+                    match op {
                         VArithOp::Add => M::Add,
                         VArithOp::Sub | VArithOp::Rsub => M::Sub,
                         VArithOp::Mul => M::Mul,
@@ -64,50 +109,32 @@ pub fn macro_ops(inst: &Inst, scalar_operand: Option<u32>) -> Option<Vec<MacroOp
                         VArithOp::Minu => M::Minu,
                         VArithOp::Maxu => M::Maxu,
                         VArithOp::Sll | VArithOp::Srl | VArithOp::Sra => unreachable!(),
-                    });
-                }
+                    },
+                ),
             }
-            v
         }
         Inst::VCmp { cond, rhs, .. } => {
-            let mut v = Vec::new();
-            if needs_splat(rhs) {
-                v.push(M::Splat(splat_value(scalar_operand)));
-            }
+            let cmp = |op| MacroOps::after_splat(rhs, scalar_operand, op);
             match cond {
-                VCmpCond::Eq => v.push(M::CmpEq),
-                VCmpCond::Ne => v.push(M::CmpNe),
-                VCmpCond::Lt | VCmpCond::Gt => v.push(M::CmpLt),
-                VCmpCond::Ltu | VCmpCond::Gtu => v.push(M::CmpLtu),
-                VCmpCond::Le => {
-                    v.push(M::CmpLt);
-                    v.push(M::MaskNot);
-                }
-                VCmpCond::Leu => {
-                    v.push(M::CmpLtu);
-                    v.push(M::MaskNot);
-                }
+                VCmpCond::Eq => cmp(M::CmpEq),
+                VCmpCond::Ne => cmp(M::CmpNe),
+                VCmpCond::Lt | VCmpCond::Gt => cmp(M::CmpLt),
+                VCmpCond::Ltu | VCmpCond::Gtu => cmp(M::CmpLtu),
+                VCmpCond::Le => cmp(M::CmpLt).then(M::MaskNot),
+                VCmpCond::Leu => cmp(M::CmpLtu).then(M::MaskNot),
             }
-            v
         }
-        Inst::VMerge { rhs, .. } => {
-            let mut v = Vec::new();
-            if needs_splat(rhs) {
-                v.push(M::Splat(splat_value(scalar_operand)));
-            }
-            v.push(M::Merge);
-            v
-        }
-        Inst::VMask { op, .. } => vec![match op {
-            MaskOp::And => M::MaskAnd,
-            MaskOp::Or => M::MaskOr,
-            MaskOp::Xor => M::MaskXor,
-            MaskOp::Not => M::MaskNot,
-            MaskOp::AndNot => return Some(vec![M::MaskNot, M::MaskAnd]),
-        }],
+        Inst::VMerge { rhs, .. } => MacroOps::after_splat(rhs, scalar_operand, M::Merge),
+        Inst::VMask { op, .. } => match op {
+            MaskOp::And => MacroOps::one(M::MaskAnd),
+            MaskOp::Or => MacroOps::one(M::MaskOr),
+            MaskOp::Xor => MacroOps::one(M::MaskXor),
+            MaskOp::Not => MacroOps::one(M::MaskNot),
+            MaskOp::AndNot => MacroOps::one(M::MaskNot).then(M::MaskAnd),
+        },
         Inst::VMv { rhs, .. } => match rhs {
-            VOperand::Reg(_) => vec![M::Mv],
-            _ => vec![M::Splat(splat_value(scalar_operand))],
+            VOperand::Reg(_) => MacroOps::one(M::Mv),
+            _ => MacroOps::one(M::Splat(splat_value(scalar_operand))),
         },
         _ => return None,
     };
@@ -132,27 +159,27 @@ mod tests {
     #[test]
     fn vv_add_is_one_macro_op() {
         let ops = macro_ops(&vop(VArithOp::Add, VOperand::Reg(vreg::V3)), None).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::Add]);
+        assert_eq!(ops[..], [MacroOpKind::Add]);
     }
 
     #[test]
     fn vx_add_needs_a_splat() {
         let ops = macro_ops(&vop(VArithOp::Add, VOperand::Imm(7)), Some(7)).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::Splat(7), MacroOpKind::Add]);
+        assert_eq!(ops[..], [MacroOpKind::Splat(7), MacroOpKind::Add]);
     }
 
     #[test]
     fn scalar_shift_carries_the_amount() {
         let ops = macro_ops(&vop(VArithOp::Sll, VOperand::Imm(13)), Some(13)).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::SllI(13)]);
+        assert_eq!(ops[..], [MacroOpKind::SllI(13)]);
         let ops = macro_ops(&vop(VArithOp::Sra, VOperand::Imm(45)), Some(45)).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::SraI(13)]); // masked to 31
+        assert_eq!(ops[..], [MacroOpKind::SraI(13)]); // masked to 31
     }
 
     #[test]
     fn vector_shift_uses_variable_program() {
         let ops = macro_ops(&vop(VArithOp::Srl, VOperand::Reg(vreg::V4)), None).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::SrlV]);
+        assert_eq!(ops[..], [MacroOpKind::SrlV]);
     }
 
     #[test]
@@ -164,7 +191,23 @@ mod tests {
             rhs: VOperand::Reg(vreg::V2),
         };
         let ops = macro_ops(&i, None).unwrap();
-        assert_eq!(ops, vec![MacroOpKind::CmpLt, MacroOpKind::MaskNot]);
+        assert_eq!(ops[..], [MacroOpKind::CmpLt, MacroOpKind::MaskNot]);
+        // The longest mapping: a splat-fed `vmsleu.vx`.
+        let i = Inst::VCmp {
+            cond: VCmpCond::Leu,
+            vd: vreg::V0,
+            vs1: vreg::V1,
+            rhs: VOperand::Scalar(eve_isa::xreg::A0),
+        };
+        let ops = macro_ops(&i, Some(9)).unwrap();
+        assert_eq!(
+            ops[..],
+            [
+                MacroOpKind::Splat(9),
+                MacroOpKind::CmpLtu,
+                MacroOpKind::MaskNot
+            ]
+        );
     }
 
     #[test]
@@ -190,13 +233,13 @@ mod tests {
             rhs: VOperand::Imm(42),
         };
         assert_eq!(
-            macro_ops(&i, Some(42)).unwrap(),
-            vec![MacroOpKind::Splat(42)]
+            macro_ops(&i, Some(42)).unwrap()[..],
+            [MacroOpKind::Splat(42)]
         );
         let i = Inst::VMv {
             vd: vreg::V1,
             rhs: VOperand::Reg(vreg::V2),
         };
-        assert_eq!(macro_ops(&i, None).unwrap(), vec![MacroOpKind::Mv]);
+        assert_eq!(macro_ops(&i, None).unwrap()[..], [MacroOpKind::Mv]);
     }
 }

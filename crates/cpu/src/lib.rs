@@ -46,7 +46,7 @@ pub mod vector_if;
 pub use branch::BranchPredictor;
 pub use io::IoCore;
 pub use o3::{O3Config, O3Core};
-pub use vector_if::{EngineError, NoVector, VectorPlacement, VectorUnit};
+pub use vector_if::{fill_line_requests, EngineError, NoVector, VectorPlacement, VectorUnit};
 
 /// Base address instruction fetches are mapped to (a code region
 /// disjoint from workload data, so I-cache and D-cache traffic do not

@@ -10,8 +10,8 @@
 use std::fmt;
 
 use eve_common::{Cycle, Stats};
-use eve_isa::Retired;
-use eve_mem::Hierarchy;
+use eve_isa::{MemEffect, Retired};
+use eve_mem::{Hierarchy, LINE_BYTES};
 use eve_obs::Tracer;
 
 /// A fault the engine or control processor detected while handling a
@@ -67,6 +67,40 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Collects the cache lines a vector memory instruction requests from a
+/// decoupled unit's memory pipe (DV's and EVE's VMU) into `lines`, in
+/// element order. A run of elements within one line is one request
+/// (the VMU coalesces it, §V-C), and an access with no elements
+/// requests nothing. `lines` is a buffer the unit keeps across
+/// instructions, so the per-instruction path does not allocate.
+pub fn fill_line_requests(lines: &mut Vec<u64>, r: &Retired) {
+    lines.clear();
+    match &r.mem {
+        MemEffect::VecUnit { base, bytes, .. } => {
+            if *bytes == 0 {
+                return;
+            }
+            let first = base / LINE_BYTES;
+            let last = (base + bytes - 1) / LINE_BYTES;
+            lines.extend(first..=last);
+        }
+        MemEffect::VecStrided {
+            base,
+            stride,
+            count,
+            ..
+        } => lines.extend(
+            (0..u64::from(*count))
+                .map(|i| ((*base as i64 + stride * i as i64) as u64) / LINE_BYTES),
+        ),
+        MemEffect::VecIndexed { .. } => {
+            lines.extend(r.addrs.iter().map(|a| a / LINE_BYTES));
+        }
+        MemEffect::None | MemEffect::Scalar { .. } => {}
+    }
+    lines.dedup();
+}
 
 /// How a vector instruction lands in the control processor's timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,14 @@
-//! An exact host-work guard for the CMP path: the bytes the contention
-//! sweep asks the allocator for, counted under a counting global
-//! allocator (this test binary only).
+//! Exact host-work guards, counted under a counting global allocator
+//! (this test binary only).
+//!
+//! **The per-instruction path allocates nothing.** `Runner::run`
+//! builds a workload and its system and then steps, retires and issues
+//! every instruction. The set-up allocates, but the step and issue path
+//! of every system must not: the allocation calls of a run may not
+//! grow with the kernel's dynamic instruction count.
+//!
+//! **The CMP path copies no memory image.** It counts the bytes the
+//! contention sweep asks the allocator for.
 //!
 //! `run_cmp` builds core `c`'s copy of a workload at `c × 32 MiB`, so
 //! its memory image spans address 0 up to that region. The image comes
@@ -10,7 +18,7 @@
 //! MiB over a k-core sweep. Zeroed allocations are not counted, so the
 //! budget sees every copy and every other allocation the sweep makes.
 
-use eve_sim::{contention_profile, SystemKind};
+use eve_sim::{contention_profile, Runner, SystemKind};
 use eve_workloads::Workload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,15 +26,19 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes requested through `alloc` and `realloc` on this thread.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Calls to `alloc` and `realloc` on this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's requested bytes.
+/// The system allocator, counting each thread's requested bytes and
+/// calls.
 struct Counting;
 
 fn count(bytes: usize) {
     // A const-initialized `Cell` has no destructor, so this neither
     // allocates nor fails during thread teardown.
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    let _ = CALLS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -61,6 +73,48 @@ static ALLOCATOR: Counting = Counting;
 
 fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+/// Allocation calls one `Runner::run` makes, and its dynamic
+/// instructions.
+fn run_allocs(system: SystemKind, w: &Workload) -> (u64, u64) {
+    let runner = Runner::new();
+    let before = calls();
+    let report = runner
+        .run(system, w)
+        .unwrap_or_else(|e| panic!("{system} on {}: {e}", w.name()));
+    (calls() - before, report.dyn_insts)
+}
+
+/// How many more allocation calls the larger run may make: its larger
+/// input and output arrays may regrow a few build-time buffers, but
+/// nothing may scale with the instructions it runs.
+const EXTRA_ALLOCS: u64 = 4;
+
+#[test]
+fn the_per_instruction_path_allocates_nothing() {
+    // histogram runs unit-stride and indexed vector accesses, mask
+    // logic and splat-fed compute on every vector system.
+    let small = Workload::Histogram { n: 256, bins: 32 };
+    let large = Workload::Histogram { n: 2048, bins: 32 };
+    for system in SystemKind::all() {
+        let (a, insts_a) = run_allocs(system, &small);
+        let (b, insts_b) = run_allocs(system, &large);
+        // The guard must not pass on a run that does not grow.
+        assert!(
+            insts_b > 4 * insts_a,
+            "{system}: {insts_a} -> {insts_b} insts"
+        );
+        assert!(
+            b <= a + EXTRA_ALLOCS,
+            "{system}: {a} allocations over {insts_a} insts, {b} over {insts_b} \
+             (at most {EXTRA_ALLOCS} more allowed)"
+        );
+    }
 }
 
 /// Most bytes the four-core sweep may request outside `alloc_zeroed`.

@@ -9,8 +9,8 @@
 
 use crate::pipes::{classify_pipe, element_cost, PipeClass};
 use eve_common::{counter_slots, Counters, Cycle, Stats};
-use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
-use eve_isa::{Inst, MemEffect, RegId, Retired};
+use eve_cpu::{fill_line_requests, EngineError, VectorPlacement, VectorUnit};
+use eve_isa::{Inst, RegId, Retired};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
 use eve_obs::Tracer;
 
@@ -44,6 +44,9 @@ pub struct DecoupledVector {
     idle_at: Cycle,
     tlb: Tlb,
     ctr: Counters<Ctr>,
+    /// Reused scratch for per-instruction line-request lists, so the
+    /// issue path allocates nothing.
+    line_buf: Vec<u64>,
     tracer: Option<Tracer>,
 }
 
@@ -80,31 +83,6 @@ impl DecoupledVector {
             }
         }
         t
-    }
-
-    /// Cache-line requests a vector memory instruction generates.
-    fn line_requests(r: &Retired) -> Vec<u64> {
-        let mut lines: Vec<u64> = match &r.mem {
-            MemEffect::VecUnit { base, bytes, .. } => {
-                let first = base / LINE_BYTES;
-                let last = (base + bytes.saturating_sub(1)) / LINE_BYTES;
-                (first..=last).collect()
-            }
-            MemEffect::VecStrided {
-                base,
-                stride,
-                count,
-                ..
-            } => (0..u64::from(*count))
-                .map(|i| ((*base as i64 + stride * i as i64) as u64) / LINE_BYTES)
-                .collect(),
-            MemEffect::VecIndexed { .. } => r.addrs.iter().map(|a| a / LINE_BYTES).collect(),
-            _ => Vec::new(),
-        };
-        // Adjacent duplicates collapse (the VMU guarantees line
-        // alignment and coalesces a run within one line, §V-C).
-        lines.dedup();
-        lines
     }
 }
 
@@ -156,17 +134,19 @@ impl VectorUnit for DecoupledVector {
         let completion = match class {
             PipeClass::Memory => {
                 let store = r.mem.is_store();
-                let lines = Self::line_requests(r);
+                let mut lines = std::mem::take(&mut self.line_buf);
+                fill_line_requests(&mut lines, r);
                 self.ctr.add(Ctr::LineRequests, lines.len() as u64);
                 let mut done = start + Cycle(STARTUP);
                 let mut t = start;
-                for line in lines {
+                for &line in &lines {
                     // One request generated + translated per cycle.
                     t = self.tlb.translate(line * LINE_BYTES, t);
                     let a = mem.access(Level::L2, line * LINE_BYTES, store, t);
                     self.ctr.add(Ctr::VmuMshrWait, a.mshr_wait.0);
                     done = done.max(a.complete);
                 }
+                self.line_buf = lines;
                 self.pipes[pipe] = t;
                 if store {
                     self.pending_store_done = self.pending_store_done.max(done);
@@ -221,7 +201,7 @@ impl VectorUnit for DecoupledVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eve_isa::{vreg, xreg, VArithOp, VOperand, VStride};
+    use eve_isa::{vreg, xreg, MemEffect, VArithOp, VOperand, VStride};
     use eve_mem::HierarchyConfig;
 
     fn retired(inst: Inst, vl: u32, memeff: MemEffect, write: Option<RegId>) -> Retired {
@@ -310,6 +290,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dv.stats().get("line_requests"), 4); // 256B / 64B
+    }
+
+    #[test]
+    fn a_zero_length_unit_access_requests_no_line() {
+        let mut dv = DecoupledVector::new();
+        let mut mem = Hierarchy::new(HierarchyConfig::table_iii());
+        let ld = Inst::VLoad {
+            vd: vreg::V1,
+            base: xreg::A0,
+            stride: VStride::Unit,
+            masked: false,
+        };
+        let eff = MemEffect::VecUnit {
+            base: 0x1000,
+            bytes: 0,
+            store: false,
+        };
+        dv.issue(
+            &retired(ld, 0, eff, Some(RegId::V(vreg::V1))),
+            Cycle(0),
+            Cycle(0),
+            &mut mem,
+        )
+        .unwrap();
+        assert_eq!(dv.stats().get("line_requests"), 0);
+        let l2 = mem.cache(Level::L2).stats();
+        assert_eq!(l2.get("hits") + l2.get("misses"), 0);
     }
 
     #[test]
@@ -409,7 +416,7 @@ mod tests {
 #[cfg(test)]
 mod xe_tests {
     use super::*;
-    use eve_isa::vreg;
+    use eve_isa::{vreg, MemEffect};
     use eve_mem::HierarchyConfig;
 
     #[test]

@@ -31,6 +31,9 @@ pub struct IntegratedVector {
     mem_pipe: Cycle,
     pending_store_done: Cycle,
     ctr: Counters<Ctr>,
+    /// Reused scratch for per-instruction element addresses, so the
+    /// issue path allocates nothing.
+    addr_buf: Vec<u64>,
 }
 
 impl IntegratedVector {
@@ -51,21 +54,23 @@ impl IntegratedVector {
         start
     }
 
-    fn element_addrs(r: &Retired) -> Vec<u64> {
+    /// Collects a memory instruction's element addresses into `addrs`,
+    /// in element order.
+    fn fill_element_addrs(addrs: &mut Vec<u64>, r: &Retired) {
+        addrs.clear();
         match &r.mem {
             MemEffect::VecUnit { base, bytes, .. } => {
-                (0..bytes / 4).map(|i| base + i * 4).collect()
+                addrs.extend((0..bytes / 4).map(|i| base + i * 4));
             }
             MemEffect::VecStrided {
                 base,
                 stride,
                 count,
                 ..
-            } => (0..u64::from(*count))
-                .map(|i| (*base as i64 + stride * i as i64) as u64)
-                .collect(),
-            MemEffect::VecIndexed { .. } => r.addrs.clone(),
-            _ => Vec::new(),
+            } => addrs
+                .extend((0..u64::from(*count)).map(|i| (*base as i64 + stride * i as i64) as u64)),
+            MemEffect::VecIndexed { .. } => addrs.extend_from_slice(&r.addrs),
+            MemEffect::None | MemEffect::Scalar { .. } => {}
         }
     }
 }
@@ -92,17 +97,19 @@ impl VectorUnit for IntegratedVector {
             PipeClass::Memory => {
                 // Decompose into per-element scalar LSQ operations.
                 let store = r.mem.is_store();
-                let addrs = Self::element_addrs(r);
+                let mut addrs = std::mem::take(&mut self.addr_buf);
+                Self::fill_element_addrs(&mut addrs, r);
                 self.ctr.add(Ctr::LsqUops, addrs.len() as u64);
                 let mut done = ready;
                 let mut t = ready;
-                for addr in addrs {
+                for &addr in &addrs {
                     // One LSQ slot per cycle on the shared memory pipe.
                     t = t.max(self.mem_pipe);
                     self.mem_pipe = t + Cycle(1);
                     let a = mem.access(Level::L1D, addr, store, t);
                     done = done.max(a.complete);
                 }
+                self.addr_buf = addrs;
                 if store {
                     self.pending_store_done = self.pending_store_done.max(done);
                     // Stores retire into the LSQ; completion for the

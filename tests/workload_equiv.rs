@@ -72,7 +72,7 @@ fn op_stream(name: &str) -> Vec<(MacroOpKind, Binding)> {
             continue;
         };
         let main = inst_binding(&r.inst);
-        for op in ops {
+        for &op in ops.iter() {
             // A Splat that *materializes an operand* (more ops follow)
             // lands in the scratch broadcast row; a Splat that *is* the
             // instruction (vmv.v.i) writes the architectural dest.
