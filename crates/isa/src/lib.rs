@@ -61,7 +61,6 @@ pub mod disasm;
 pub mod inst;
 pub mod interp;
 pub mod mem;
-pub mod parse;
 pub mod reg;
 
 pub use asm::{Asm, Program};
@@ -72,5 +71,4 @@ pub use inst::{
 };
 pub use interp::{Interpreter, IsaError, MemEffect, Retired};
 pub use mem::Memory;
-pub use parse::{parse_inst, parse_program, ParseError};
 pub use reg::{vreg, xreg, RegId, Vreg, Xreg};

@@ -152,240 +152,3 @@ fn characterization_identities() {
         assert!(c.vector_ops <= c.ops);
     }
 }
-
-/// One uniformly random instruction covering every [`Inst`] variant,
-/// operand mode, and mask flag.
-#[allow(clippy::too_many_lines)]
-fn random_inst(rng: &mut SplitMix64) -> eve_isa::Inst {
-    use eve_isa::{BranchCond, Inst, MaskOp, MemWidth, RedOp, ScalarOp, VCmpCond, VStride};
-    let x = |rng: &mut SplitMix64| eve_isa::Xreg::new(rng.below(32) as u8);
-    let v = |rng: &mut SplitMix64| eve_isa::Vreg::new(rng.below(32) as u8);
-    let rhs = |rng: &mut SplitMix64| match rng.below(3) {
-        0 => VOperand::Reg(v(rng)),
-        1 => VOperand::Scalar(x(rng)),
-        _ => VOperand::Imm(rng.next_u32() as i32),
-    };
-    let sop = |rng: &mut SplitMix64| {
-        [
-            ScalarOp::Add,
-            ScalarOp::Sub,
-            ScalarOp::Mul,
-            ScalarOp::Div,
-            ScalarOp::Rem,
-            ScalarOp::And,
-            ScalarOp::Or,
-            ScalarOp::Xor,
-            ScalarOp::Sll,
-            ScalarOp::Srl,
-            ScalarOp::Sra,
-            ScalarOp::Slt,
-            ScalarOp::Sltu,
-        ][rng.below(13) as usize]
-    };
-    let width = |rng: &mut SplitMix64| {
-        [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D][rng.below(4) as usize]
-    };
-    let stride = |rng: &mut SplitMix64| match rng.below(3) {
-        0 => VStride::Unit,
-        1 => VStride::Strided(x(rng)),
-        _ => VStride::Indexed(v(rng)),
-    };
-    match rng.below(22) {
-        0 => Inst::Li {
-            rd: x(rng),
-            imm: rng.next_u64() as i64,
-        },
-        1 => Inst::Op {
-            op: sop(rng),
-            rd: x(rng),
-            rs1: x(rng),
-            rs2: x(rng),
-        },
-        2 => Inst::OpImm {
-            op: sop(rng),
-            rd: x(rng),
-            rs1: x(rng),
-            imm: rng.next_u32() as i32 as i64,
-        },
-        3 => Inst::Load {
-            width: width(rng),
-            rd: x(rng),
-            base: x(rng),
-            offset: rng.next_u32() as i32 as i64,
-        },
-        4 => Inst::Store {
-            width: width(rng),
-            src: x(rng),
-            base: x(rng),
-            offset: rng.next_u32() as i32 as i64,
-        },
-        5 => Inst::Branch {
-            cond: [
-                BranchCond::Eq,
-                BranchCond::Ne,
-                BranchCond::Lt,
-                BranchCond::Ge,
-                BranchCond::Ltu,
-                BranchCond::Geu,
-            ][rng.below(6) as usize],
-            rs1: x(rng),
-            rs2: x(rng),
-            target: rng.next_u32(),
-        },
-        6 => Inst::Jump {
-            target: rng.next_u32(),
-        },
-        7 => Inst::Halt,
-        8 => Inst::SetVl {
-            rd: x(rng),
-            avl: x(rng),
-        },
-        9 => Inst::VMFence,
-        10 => Inst::VLoad {
-            vd: v(rng),
-            base: x(rng),
-            stride: stride(rng),
-            masked: rng.chance(0.5),
-        },
-        11 => Inst::VStore {
-            vs: v(rng),
-            base: x(rng),
-            stride: stride(rng),
-            masked: rng.chance(0.5),
-        },
-        12 => Inst::VOp {
-            op: [
-                VArithOp::Add,
-                VArithOp::Sub,
-                VArithOp::Rsub,
-                VArithOp::Mul,
-                VArithOp::Macc,
-                VArithOp::Mulh,
-                VArithOp::Mulhu,
-                VArithOp::Div,
-                VArithOp::Divu,
-                VArithOp::Rem,
-                VArithOp::Remu,
-                VArithOp::And,
-                VArithOp::Or,
-                VArithOp::Xor,
-                VArithOp::Sll,
-                VArithOp::Srl,
-                VArithOp::Sra,
-                VArithOp::Min,
-                VArithOp::Max,
-                VArithOp::Minu,
-                VArithOp::Maxu,
-            ][rng.below(21) as usize],
-            vd: v(rng),
-            vs1: v(rng),
-            rhs: rhs(rng),
-            masked: rng.chance(0.5),
-        },
-        13 => Inst::VCmp {
-            cond: [
-                VCmpCond::Eq,
-                VCmpCond::Ne,
-                VCmpCond::Lt,
-                VCmpCond::Ltu,
-                VCmpCond::Le,
-                VCmpCond::Leu,
-                VCmpCond::Gt,
-                VCmpCond::Gtu,
-            ][rng.below(8) as usize],
-            vd: v(rng),
-            vs1: v(rng),
-            rhs: rhs(rng),
-        },
-        14 => Inst::VMerge {
-            vd: v(rng),
-            vs1: v(rng),
-            rhs: rhs(rng),
-        },
-        15 => {
-            let op = [
-                MaskOp::And,
-                MaskOp::Or,
-                MaskOp::Xor,
-                MaskOp::AndNot,
-                MaskOp::Not,
-            ][rng.below(5) as usize];
-            let m1 = v(rng);
-            // `vmnot.m` prints no second source, so its textual form
-            // cannot carry an independent m2; pin it to m1.
-            let m2 = if op == MaskOp::Not { m1 } else { v(rng) };
-            Inst::VMask {
-                op,
-                md: v(rng),
-                m1,
-                m2,
-            }
-        }
-        16 => Inst::VMv {
-            vd: v(rng),
-            rhs: rhs(rng),
-        },
-        17 => Inst::VMvXS {
-            rd: x(rng),
-            vs: v(rng),
-        },
-        18 => Inst::VMvSX {
-            vd: v(rng),
-            rs: x(rng),
-        },
-        19 => Inst::VRed {
-            op: [RedOp::Sum, RedOp::Min, RedOp::Max, RedOp::Minu, RedOp::Maxu]
-                [rng.below(5) as usize],
-            vd: v(rng),
-            vs2: v(rng),
-            vs1: v(rng),
-        },
-        20 => Inst::VSlide {
-            vd: v(rng),
-            vs: v(rng),
-            amount: x(rng),
-            up: rng.chance(0.5),
-        },
-        _ => match rng.below(2) {
-            0 => Inst::VRGather {
-                vd: v(rng),
-                vs: v(rng),
-                idx: v(rng),
-            },
-            _ => Inst::VId { vd: v(rng) },
-        },
-    }
-}
-
-/// Every instruction's textual form parses back to the identical IR —
-/// `parse_inst` is the exact inverse of `Display` across the whole
-/// operand space.
-#[test]
-fn disassembly_round_trips_through_the_parser() {
-    let mut rng = SplitMix64::new(0x15A_0005);
-    for i in 0..2000 {
-        let inst = random_inst(&mut rng);
-        let text = inst.to_string();
-        let back = eve_isa::parse_inst(&text)
-            .unwrap_or_else(|e| panic!("iteration {i}: `{text}` failed to parse: {e}"));
-        assert_eq!(back, inst, "iteration {i}: `{text}` reparsed differently");
-        // And the reparse prints byte-identically (fixed point).
-        assert_eq!(back.to_string(), text, "iteration {i}");
-    }
-}
-
-/// Whole listings survive the disasm -> parse_program trip, line
-/// numbers and all.
-#[test]
-fn listings_round_trip_through_the_parser() {
-    let mut rng = SplitMix64::new(0x15A_0006);
-    for _ in 0..20 {
-        let n = 1 + rng.below(299) as usize;
-        let built = eve_workloads::Workload::vvadd(n).build();
-        for prog in [&built.scalar, &built.vector] {
-            let text = eve_isa::disasm(prog);
-            let parsed = eve_isa::parse_program(&text).unwrap();
-            assert_eq!(parsed, prog.insts());
-        }
-    }
-}
