@@ -75,6 +75,23 @@ def no_errors_or_sdc(s):
     assert s["total_sdc"] == 0, f"SDCs leaked: {s['total_sdc']}"
 
 
+# A sweep without --net runs on the ideal link, which retransmits,
+# hedges, deduplicates and suspects nothing.
+IDEAL_LINK_ZEROS = (
+    "net_retransmits",
+    "net_hedges",
+    "net_hedge_wins",
+    "net_dedup_absorbed",
+    "net_suspicions",
+    "net_double_applied",
+)
+
+
+def no_transport_activity(s):
+    for key in IDEAL_LINK_ZEROS:
+        assert s[key] == 0, f"{key} = {s[key]} on the ideal link"
+
+
 def hotpath():
     # The bitsliced interpreter must hold its geomean speedup over the
     # lane-serial scalar oracle (the bin asserts the floor itself).
@@ -129,6 +146,7 @@ def cluster():
     doc = json.loads(run("cluster_campaign", "--workloads", "2", timeout=600))
     s = doc["summary"]
     no_errors_or_sdc(s)
+    no_transport_activity(s)
     assert s["min_availability"] >= 0.99, f"availability floor broken: {s['min_availability']}"
     assert s["min_tenant_availability"] >= 0.95, \
         f"per-tenant fairness floor broken: {s['min_tenant_availability']}"
@@ -138,7 +156,9 @@ def cluster():
         miss = r["report"]["deadline_miss_rate"]
         assert miss <= 0.01, \
             f"deadline-miss budget broken: {miss} in {r['shards']}/{r['tenants']}/{r['shape']}"
-    cmp("cluster_campaign", "--workloads", "2", "--shards", "2,4", "--shapes", "calm,hotkey,shardkill")
+    no_transport_activity(summary(cmp(
+        "cluster_campaign", "--workloads", "2", "--shards", "2,4", "--shapes", "calm,hotkey,shardkill"
+    )))
 
 
 def cluster_shaped():
@@ -146,7 +166,9 @@ def cluster_shaped():
         "cluster_campaign",
         "--workloads", "3", "--shards", "2", "--shapes", "diurnal,bursty,keystorm",
     )
-    no_errors_or_sdc(summary(out))
+    s = summary(out)
+    no_errors_or_sdc(s)
+    no_transport_activity(s)
 
 
 def elastic():
@@ -158,12 +180,13 @@ def elastic():
         )
     )
     no_errors_or_sdc(s)
+    no_transport_activity(s)
     assert s["elastic"], "elastic switch not recorded"
     assert s["elastic_spawns"] + s["elastic_retires"] >= 1, "the elastic sweep never reconfigured"
-    cmp(
+    no_transport_activity(summary(cmp(
         "cluster_campaign",
         "--workloads", "2", "--shards", "2,4", "--shapes", "phased,bursty", "--elastic",
-    )
+    )))
 
 
 def net():

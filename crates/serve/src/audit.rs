@@ -15,8 +15,11 @@
 //! counter registry the run exported against the report's tallies.
 //! A single pool is the one-shard case and gets the same audit.
 //!
-//! With the lossy transport on, two more families apply. *Message
-//! conservation*: on every link and for every message class,
+//! On the ideal link (the transport disabled) the transport block must
+//! be empty: no link ledger, no detector event, no wasted execution,
+//! and every transport counter zero. With the lossy transport on, two
+//! more families apply. *Message conservation*: on every link and for
+//! every message class,
 //! `sent == delivered + dropped + in_flight`, and nothing may still be
 //! in flight once the calendar drains. *Exactly-once execution*: the
 //! shard-side execution ledger and the router-side acceptance ledger
@@ -133,8 +136,8 @@ pub fn audit_cluster(
     // came back as a failure — and the shard-side execution ledger
     // reconciles with the router-side acceptance ledger through the
     // wasted executions (hedge losers, responses lost past the
-    // retransmit budget). With the transport off both identities
-    // degenerate to the historical `batched == completed + failures`.
+    // retransmit budget). On the ideal link nothing is wasted, so both
+    // reduce to `batched == completed + failures`.
     ids.check(
         "batched == executed_ok + request_failures",
         report.batched_requests,
@@ -349,9 +352,10 @@ pub fn audit_cluster(
         )?;
     }
 
-    // Transport replay. With the net disabled everything here is
-    // trivially zero — which is itself checked, so a report cannot
-    // smuggle in link traffic it claims not to have modeled.
+    // Transport replay. On the ideal link everything here is zero —
+    // which is itself checked, so a report cannot smuggle in link
+    // traffic it claims not to have modeled, and an RTO, hedge, cancel
+    // or suspicion leaking onto the ideal link fails the run.
     if !report.net_enabled {
         ids.check(
             "disabled transport carries no links",
@@ -361,6 +365,14 @@ pub fn audit_cluster(
         ids.check(
             "disabled transport saw no wasted executions",
             report.wasted_executions,
+            0,
+        )?;
+        for (name, got) in report.net.fields() {
+            ids.check(format_args!("disabled transport counts no {name}"), got, 0)?;
+        }
+        ids.check(
+            "disabled transport records no detector events",
+            report.detector_events.len() as u64,
             0,
         )?;
     } else {
@@ -768,6 +780,48 @@ mod tests {
             cooked.detector_events.remove(i);
             let err = audit_cluster(&tracer, &cooked).unwrap_err();
             assert!(err.to_string().contains("recovery events"), "{err}");
+        }
+    }
+
+    #[test]
+    fn each_cooked_ideal_link_counter_fails_its_own_identity() {
+        use crate::net::{DetectorEvent, NetCounters};
+        // One row per transport counter that a direct run can raise
+        // while every older identity stays balanced: the report and the
+        // registry move together, and a detector tally brings its
+        // event. The audit must name the ideal link's zero identity.
+        // No such cook exists for `hedge_wins` (it needs a hedge),
+        // `double_applied` or the two cancel outcomes (older identities
+        // bound each), or the detector history (its tallies must move
+        // with it, and their rows fail first).
+        type Field = fn(&mut NetCounters) -> &mut u64;
+        let rows: [(&str, Field, Option<bool>); 9] = [
+            ("retransmits", |c| &mut c.retransmits, None),
+            ("timeouts", |c| &mut c.timeouts, None),
+            ("hedges", |c| &mut c.hedges, None),
+            ("dedup_hits", |c| &mut c.dedup_hits, None),
+            ("dup_suppressed", |c| &mut c.dup_suppressed, None),
+            ("late_responses", |c| &mut c.late_responses, None),
+            ("stale_drops", |c| &mut c.stale_drops, None),
+            ("suspicions", |c| &mut c.suspicions, Some(true)),
+            ("recoveries", |c| &mut c.recoveries, Some(false)),
+        ];
+        for (name, field, event) in rows {
+            let (tracer, mut report) = traced_cluster(FaultStorm::none());
+            audit_cluster(&tracer, &report).unwrap();
+            *field(&mut report.net) += 1;
+            tracer.count(&format!("net.{name}"), 1);
+            if let Some(suspected) = event {
+                report.detector_events.push(DetectorEvent {
+                    at: 0,
+                    shard: 0,
+                    suspected,
+                });
+            }
+            let err = audit_cluster(&tracer, &report).unwrap_err();
+            assert!(matches!(err, ServeAuditFailure::Identity { .. }), "{err}");
+            let identity = format!("counts no {name}");
+            assert!(err.to_string().contains(&identity), "{identity}: {err}");
         }
     }
 

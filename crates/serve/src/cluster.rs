@@ -38,7 +38,7 @@ use crate::elastic::{
     ElasticAction, ElasticController, ElasticEvent, ElasticEventKind, ElasticPolicy, ShardSignal,
 };
 use crate::health::{apply_signal, signals, spawn_target_ok};
-use crate::net::{DedupTable, Detector, Link, MsgClass, NetCounters, NetPolicy, RttWindow};
+use crate::net::{Detector, Executions, Link, MsgClass, NetCounters, NetPolicy, RttWindow};
 use crate::profile::{PriceTable, ServiceProfile};
 use crate::queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};
 use crate::router::Router;
@@ -49,24 +49,6 @@ use eve_obs::Tracer;
 use eve_sim::EngineHealth;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-/// Work-stealing knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealPolicy {
-    /// Whether idle shards steal from unroutable peers at all.
-    pub enabled: bool,
-    /// Most requests moved per steal pass.
-    pub max_per_pass: usize,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_per_pass: 8,
-        }
-    }
-}
 
 /// Cluster topology and policy knobs for one run.
 #[derive(Debug, Clone, Copy)]
@@ -87,13 +69,12 @@ pub struct ClusterConfig {
     pub batch: BatchPolicy,
     /// Degradation-ladder thresholds.
     pub ladder: LadderPolicy,
-    /// Work stealing.
-    pub steal: StealPolicy,
     /// Elastic engine/L2-way reconfiguration (disabled keeps the
     /// historical static partition).
     pub elastic: ElasticPolicy,
-    /// The lossy router↔shard transport (disabled keeps the historical
-    /// instantaneous-reliable dispatch, byte for byte).
+    /// The router↔shard link: lossy when enabled; disabled (the
+    /// default) is the ideal link, which hands every message over
+    /// inline, exactly once and in order.
     pub net: NetPolicy,
     /// Engine dispatch attempts per request before failover.
     pub max_attempts: u32,
@@ -133,7 +114,6 @@ impl Default for ClusterConfig {
             admission: AdmissionPolicy::default(),
             batch: BatchPolicy::default(),
             ladder: LadderPolicy::default(),
-            steal: StealPolicy::default(),
             elastic: ElasticPolicy::default(),
             net: NetPolicy::default(),
             max_attempts: 3,
@@ -235,7 +215,8 @@ enum Ev {
     FallbackDone(usize),
     /// Engine `(shard, slot)`'s spawn warmup flush finishes.
     SpawnReady(usize, usize),
-    /// A copy of request `req` reaches shard `shard` over its link.
+    /// A copy of request `req` reaches shard `shard` over its lossy
+    /// link.
     DeliverReq(usize, usize),
     /// A response copy for request `req` from `shard` reaches the
     /// router; `ok` (success vs nack) and the corruption bit ride the
@@ -397,7 +378,7 @@ struct BatchRec {
     silent_epoch: u64,
 }
 
-/// Per-request transport bookkeeping (net mode only).
+/// Per-request transport bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
 struct NetReqState {
     /// The router accepted a response or failed the request over;
@@ -405,15 +386,17 @@ struct NetReqState {
     resolved: bool,
     /// Resolved by accepting a response (vs failing over).
     accepted: bool,
-    /// Effective executions: fresh idempotency-table records across
-    /// all shards. `execs - accepted` is this request's wasted work.
-    execs: u32,
     /// Bit per shard: a copy is queued or executing there. Set on
     /// delivery, cleared when the batch resolves (or a steal/cancel
     /// pulls the copy), so a shard never runs the same request twice.
     queued_mask: u64,
-    /// Every shard this request was ever transmitted to.
+    /// Every shard a lossy link carried this request to: the cancel
+    /// targets once a response wins.
     sent_mask: u64,
+    /// The idempotency record: which shards executed it, and which of
+    /// their cached answers are corrupt. Its count less `accepted` is
+    /// this request's wasted work.
+    executed: Executions,
     /// Transmission sequence; timers and hedges carry the sequence
     /// they were armed under and go stale when it moves on.
     xmit_seq: u32,
@@ -427,16 +410,16 @@ struct NetReqState {
     hedge_shard: usize,
 }
 
-/// The transport layer's run state (`None` = historical
-/// instantaneous-reliable dispatch).
+/// The transport's run state. Every admitted request takes its path:
+/// open, send, land in [`ClusterSim::net_enqueue`], execute, respond,
+/// accept. With the policy disabled it is the ideal link
+/// ([`NetState::ideal`]).
 struct NetState {
     /// The policy with `rto` resolved (0 ⇒ derived from the profile).
     policy: NetPolicy,
-    /// One seeded lossy link per shard.
+    /// One seeded lossy link per shard; none on the ideal link, which
+    /// keeps no ledger.
     links: Vec<Link>,
-    /// Per-shard idempotency tables: request id → cached corruption
-    /// bit.
-    dedup: Vec<DedupTable>,
     /// Windowed heartbeat failure detector over all links.
     detector: Detector,
     /// Sliding RTT window feeding the hedge delay (windowed p99).
@@ -452,7 +435,13 @@ struct NetState {
 }
 
 impl NetState {
-    /// Transmits one message over `shard`'s link, returning the
+    /// Whether this is the ideal link: every message is handled inline
+    /// at the cycle it is sent, exactly once and in order.
+    fn ideal(&self) -> bool {
+        !self.policy.enabled
+    }
+
+    /// Transmits one message over `shard`'s lossy link, returning the
     /// scheduled delivery cycles of the copies that survive.
     fn transmit(&mut self, now: u64, shard: usize, class: MsgClass) -> impl Iterator<Item = u64> {
         let policy = self.policy;
@@ -526,7 +515,7 @@ pub struct ClusterSim {
     /// [`ClusterSim::next_event`] merges it with the heap by `(at, seq)`.
     next_arrival: usize,
     arrival_seq: u64,
-    net: Option<NetState>,
+    net: NetState,
     shards: Vec<Shard>,
     /// Which shards can take a dispatch, as last refreshed by
     /// [`ClusterSim::refresh_availability`].
@@ -535,8 +524,8 @@ pub struct ClusterSim {
     batches: Vec<BatchRec>,
     fallback_free_at: u64,
     now: u64,
-    /// With the transport on, the cycle of the last pass-run if it
-    /// changed nothing (see [`ClusterSim::handle`]).
+    /// On a lossy link, the cycle of the last pass-run if it changed
+    /// nothing (see [`ClusterSim::handle`]).
     quiet_since: Option<u64>,
     /// While `quiet_since` is set: the earliest cycle after it at which
     /// a pass input can change with time alone.
@@ -592,6 +581,12 @@ impl ClusterSim {
                 "cluster needs at least one shard with one engine".into(),
             ));
         }
+        if cfg.shards > 64 {
+            return Err(ServeError::Config(format!(
+                "each request tracks its shards in 64-bit masks; at most 64 shards, got {}",
+                cfg.shards
+            )));
+        }
         if cfg.vnodes == 0 {
             return Err(ServeError::Config("ring needs at least one vnode".into()));
         }
@@ -636,16 +631,7 @@ impl ClusterSim {
                 ));
             }
         }
-        if cfg.net.enabled {
-            if cfg.shards > 64 {
-                return Err(ServeError::Config(
-                    "the transport tracks per-shard request copies in a 64-bit mask; \
-                     at most 64 shards with net enabled"
-                        .into(),
-                ));
-            }
-            cfg.net.validate().map_err(ServeError::Config)?;
-        }
+        cfg.net.validate().map_err(ServeError::Config)?;
         // Storms address slot space so a scripted fault can target a
         // slot the controller has not spawned into yet.
         let total_engines = cfg.shards * cfg.slots_per_shard();
@@ -671,6 +657,8 @@ impl ClusterSim {
                     }
                 }
                 StormEventKind::LinkDegrade { .. } => {
+                    // The ideal link loses nothing, so there is no loss
+                    // to raise.
                     if !cfg.net.enabled {
                         return Err(ServeError::Storm(format!(
                             "event {i} degrades a link, but the transport layer is disabled"
@@ -773,36 +761,39 @@ impl ClusterSim {
                 retire_rollbacks: 0,
             })
             .collect();
-        let net = if cfg.net.enabled {
-            let mut policy = cfg.net;
-            if policy.rto == 0 {
-                // Derive the retransmit timeout from the topology: a
-                // round trip at worst-case link delay plus queueing
-                // headroom in units of the mean service time.
-                policy.rto = profile.rto_hint(policy.base_delay, policy.jitter);
-            }
-            policy.rto = policy.rto.max(1);
-            let last_arrival = requests.iter().map(|r| r.arrival).max().unwrap_or(0);
+        let mut policy = cfg.net;
+        if policy.rto == 0 {
+            // Derive the retransmit timeout from the topology: a round
+            // trip at worst-case link delay plus queueing headroom in
+            // units of the mean service time.
+            policy.rto = profile.rto_hint(policy.base_delay, policy.jitter);
+        }
+        policy.rto = policy.rto.max(1);
+        let every = policy.heartbeat_every.max(1);
+        let links = if cfg.net.enabled {
             // Staggered heartbeat phases so N links never ping in the
             // same cycle.
-            let every = policy.heartbeat_every.max(1);
             for s in 0..cfg.shards {
                 let at = (s as u64 * every) / cfg.shards as u64;
                 calendar.push(at, Ev::Liveness(Liveness::HbTick(s)));
             }
-            Some(NetState {
-                links: (0..cfg.shards).map(|s| Link::new(cfg.seed, s)).collect(),
-                dedup: vec![DedupTable::new(); cfg.shards],
-                detector: Detector::new(cfg.shards, every, policy.suspect_misses),
-                rtt: RttWindow::new(64),
-                reqs: vec![NetReqState::default(); requests.len()],
-                open: 0,
-                last_arrival,
-                counters: NetCounters::default(),
-                policy,
-            })
+            (0..cfg.shards).map(|s| Link::new(cfg.seed, s)).collect()
         } else {
-            None
+            // The ideal link seeds no heartbeat: with no acks, the
+            // detector would suspect every shard once its threshold
+            // passed. It keeps no ledger either, so the report carries
+            // no link.
+            Vec::new()
+        };
+        let net = NetState {
+            links,
+            detector: Detector::new(cfg.shards, every, policy.suspect_misses),
+            rtt: RttWindow::new(64),
+            reqs: vec![NetReqState::default(); requests.len()],
+            open: 0,
+            last_arrival: requests.iter().map(|r| r.arrival).max().unwrap_or(0),
+            counters: NetCounters::default(),
+            policy,
         };
         let tenant_count = traffic.tenants.len();
         Ok(Self {
@@ -923,23 +914,24 @@ impl ClusterSim {
     }
 
     /// Whether `shard` can accept a dispatch right now: reachable (not
-    /// partitioned in the legacy model, not heartbeat-suspected in net
-    /// mode), and at least one *active* engine's breaker is not open
-    /// (spawning, draining, and parked slots are not admission
+    /// partitioned on the ideal link, not heartbeat-suspected on a
+    /// lossy one), and at least one *active* engine's breaker is not
+    /// open (spawning, draining, and parked slots are not admission
     /// channels).
     fn shard_available(&mut self, s: usize) -> bool {
         let now = self.now;
-        let (blocked, newly_suspect) = if let Some(net) = &mut self.net {
+        let blocked = if self.net.ideal() {
+            // No ack ever lands on the ideal link, so the detector
+            // would suspect every shard: only a partition blocks one.
+            now < self.shards[s].partition_until
+        } else {
             // Lazy detection: suspicion is evaluated when routing asks,
             // from the last heartbeat ack's age.
-            let newly = net.detector.probe(now, s).is_some();
-            (net.detector.suspected(s), newly)
-        } else {
-            (now < self.shards[s].partition_until, false)
+            if self.net.detector.probe(now, s).is_some() && s < SHARD_CATS.len() {
+                self.instant(SHARD_CATS[s], "suspect", now);
+            }
+            self.net.detector.suspected(s)
         };
-        if newly_suspect && s < SHARD_CATS.len() {
-            self.instant(SHARD_CATS[s], "suspect", now);
-        }
         if blocked {
             return false;
         }
@@ -1057,8 +1049,8 @@ impl ClusterSim {
                 self.now = at;
                 self.handle(ev);
             }
-            // Anything still queued sat on a shard nobody could steal
-            // for (stealing disabled, or every shard unroutable): the
+            // Anything still queued sat where no pass could move it
+            // (no thief was eligible, or no shard could serve): the
             // fallback is the terminal safety net.
             let mut leftover = Vec::new();
             for s in 0..self.cfg.shards {
@@ -1150,10 +1142,13 @@ impl ClusterSim {
 
     /// Counts that move whenever a pass acts: dispatches, steals,
     /// fail-overs and stale drops, ladder and elastic events, new
-    /// suspicions, and the requests queued. `None` with the transport
-    /// off, where no liveness event could use them.
+    /// suspicions, and the requests queued. `None` on the ideal link,
+    /// which seeds no heartbeat, so no liveness event could use them.
     fn pass_marks(&self) -> Option<[u64; 8]> {
-        let net = self.net.as_ref()?;
+        let net = &self.net;
+        if net.ideal() {
+            return None;
+        }
         Some([
             self.dispatches,
             self.steals,
@@ -1182,7 +1177,7 @@ impl ClusterSim {
                     .elastic
                     .enabled
                     .then(|| self.elastic.wake_after(t0)),
-                self.net.as_ref().and_then(|n| n.detector.next_suspicion()),
+                self.net.detector.next_suspicion(),
             ])
             .flatten()
             .filter(|&t| t > t0)
@@ -1195,7 +1190,7 @@ impl ClusterSim {
     /// liveness event changed none.
     #[cfg(debug_assertions)]
     fn suspicion_changes(&self) -> usize {
-        self.net.as_ref().map_or(0, |n| n.detector.events().len())
+        self.net.detector.events().len()
     }
 
     fn on_storm(&mut self, i: usize) {
@@ -1204,34 +1199,34 @@ impl ClusterSim {
         match ev.kind {
             StormEventKind::ShardPartition { duration } => {
                 let until = now + duration.max(1);
-                if let Some(net) = &mut self.net {
-                    // With the transport on, a partition is not a
-                    // special mechanism: it is 100% loss on the link.
-                    // The shard's engines stay healthy and keep
-                    // draining their queue — their responses just
-                    // never get out, and the heartbeat detector
-                    // discovers the silence.
-                    net.links[ev.engine].degrade(until, 1.0);
-                } else {
+                if self.net.ideal() {
+                    // The ideal link arms no timer, so a partition
+                    // modeled as loss would strand every response it
+                    // cut off: the shard is blocked outright instead,
+                    // and epoch bumps turn every outstanding batch into
+                    // a detected failure.
                     let shard = &mut self.shards[ev.engine];
                     shard.partition_until = shard.partition_until.max(until);
-                    // The partition severs in-flight work too: epoch
-                    // bumps turn every outstanding batch into a
-                    // detected failure.
                     for e in &mut shard.engines {
                         e.fault_epoch += 1;
                     }
+                } else {
+                    // On a lossy link a partition is not a special
+                    // mechanism: it is 100% loss on the link. The
+                    // shard's engines stay healthy and keep draining
+                    // their queue — their responses just never get
+                    // out, and the heartbeat detector discovers the
+                    // silence.
+                    self.net.links[ev.engine].degrade(until, 1.0);
                 }
                 if ev.engine < SHARD_CATS.len() {
                     self.instant(SHARD_CATS[ev.engine], "partition", now);
                 }
             }
             StormEventKind::LinkDegrade { loss_pct, duration } => {
-                // Build-time validation guarantees the transport is on.
-                if let Some(net) = &mut self.net {
-                    net.links[ev.engine]
-                        .degrade(now + duration.max(1), f64::from(loss_pct.min(100)) / 100.0);
-                }
+                // Build-time validation guarantees a lossy link.
+                self.net.links[ev.engine]
+                    .degrade(now + duration.max(1), f64::from(loss_pct.min(100)) / 100.0);
                 if ev.engine < SHARD_CATS.len() {
                     self.instant(SHARD_CATS[ev.engine], "link_degrade", now);
                 }
@@ -1314,11 +1309,7 @@ impl ClusterSim {
                             self.instant("serve", "reroute", now);
                         }
                         self.requests[r].shard = s;
-                        if self.net.is_some() {
-                            self.net_open_request(r, s);
-                        } else {
-                            self.shards[s].queues.push(tenant, r);
-                        }
+                        self.net_open_request(r, s);
                         self.instant("serve", "admit", now);
                     }
                     Err(reason) => self.shed(r, reason),
@@ -1334,12 +1325,10 @@ impl ClusterSim {
                         self.tenant_admitted[tenant] += 1;
                         self.requests[r].admitted = true;
                         self.direct_fallback += 1;
-                        if let Some(net) = &mut self.net {
-                            // Opened and immediately resolved by the
-                            // failover below; the open/resolve pairing
-                            // keeps the conservation arithmetic exact.
-                            net.open += 1;
-                        }
+                        // Opened and immediately resolved by the
+                        // failover below; the open/resolve pairing
+                        // keeps the conservation arithmetic exact.
+                        self.net.open += 1;
                         self.failover(r);
                     }
                     Err(reason) => self.shed(r, reason),
@@ -1364,23 +1353,17 @@ impl ClusterSim {
     }
 
     fn on_retry(&mut self, r: usize) {
-        if let Some(net) = &mut self.net {
-            // A duplicate nack can race the retry against a failover;
-            // a resolved request never re-enters the cluster.
-            if net.reqs[r].resolved {
-                net.counters.stale_drops += 1;
-                return;
-            }
+        // A duplicate nack can race the retry against a failover; a
+        // resolved request never re-enters the cluster.
+        if self.net.reqs[r].resolved {
+            self.net.counters.stale_drops += 1;
+            return;
         }
         self.instant("serve", "retry_due", self.now);
         match self.reroute(r) {
             Some(s) => {
                 self.requests[r].shard = s;
-                if self.net.is_some() {
-                    self.net_send_req(r, s);
-                } else {
-                    self.shards[s].queues.push(self.requests[r].tenant, r);
-                }
+                self.net_send_req(r, s);
             }
             None => self.failover(r),
         }
@@ -1390,12 +1373,13 @@ impl ClusterSim {
     /// found any shard available.
     fn pump_all(&mut self, any_available: bool) {
         // The bottom ladder rung runs nothing on engines: queues drain
-        // straight to the fallback until the ladder climbs back. With
-        // the transport off, a cluster where no shard can serve drains
-        // the same way — the rule arrivals already follow — since no
-        // thief can take the work. (With it on, RTO timers fail such
-        // requests over at the router.)
-        let stranded = self.net.is_none() && !any_available;
+        // straight to the fallback until the ladder climbs back. On the
+        // ideal link, a cluster where no shard can serve drains the
+        // same way — the rule arrivals already follow — since no thief
+        // can take the work and no timer would fail it over. (On a
+        // lossy link, RTO timers fail such requests over at the
+        // router.)
+        let stranded = self.net.ideal() && !any_available;
         if stranded || self.ladder.level() == ServiceLevel::FallbackOnly {
             for s in 0..self.cfg.shards {
                 let drained: Vec<usize> = self.shards[s]
@@ -1524,58 +1508,33 @@ impl ClusterSim {
             self.shards[s].failures += 1;
             self.request_failures += members.len() as u64;
             self.ladder.observe_failure(now);
-            if self.net.is_some() {
-                // Nack every member over the link: the router owns the
-                // retry decision. The queued bit clears so a
-                // retransmitted copy can legitimately land here again.
-                for &m in &members {
-                    if let Some(net) = &mut self.net {
-                        net.reqs[m].queued_mask &= !(1u64 << s);
-                    }
-                    self.net_send_resp(m, s, false, false);
-                }
-            } else {
-                for &m in &members {
-                    self.retry_or_failover(m);
-                }
+            // Nack every member over the link: the router owns the
+            // retry decision. The queued bit clears so a retransmitted
+            // copy can legitimately land here again.
+            for &m in &members {
+                self.net.reqs[m].queued_mask &= !(1u64 << s);
+                self.net_send_resp(m, s, false, false);
             }
         } else {
             e.breaker.on_success(now);
             e.completions += 1;
             self.shards[s].completions += members.len() as u64;
             let leak = silent_overlap && !self.cfg.checked;
-            if self.net.is_some() {
-                // Effective execution: the idempotency table records it
-                // (result and corruption bit become the cached answer)
-                // and the response rides the link. Acceptance — and the
-                // completion/SDC ledger — happens at the router, once,
-                // whichever copy wins.
-                for &m in &members {
-                    if let Some(net) = &mut self.net {
-                        net.reqs[m].queued_mask &= !(1u64 << s);
-                        if net.dedup[s].record(m as u64, leak) {
-                            net.reqs[m].execs += 1;
-                        } else {
-                            // Structurally unreachable (the queued bit
-                            // blocks same-shard re-entry); counted so
-                            // the auditor can prove it stayed zero.
-                            net.counters.double_applied += 1;
-                        }
-                    }
-                    self.net_send_resp(m, s, true, leak);
+            // Effective execution: the idempotency record keeps it (the
+            // corruption bit becomes the cached answer) and the
+            // response rides the link. Acceptance — and the
+            // completion/SDC ledger — happens at the router, once,
+            // whichever copy wins.
+            for &m in &members {
+                let req = &mut self.net.reqs[m];
+                req.queued_mask &= !(1u64 << s);
+                if !req.executed.record(s, leak) {
+                    // Structurally unreachable (the queued bit blocks
+                    // same-shard re-entry); counted so the auditor can
+                    // prove it stayed zero.
+                    self.net.counters.double_applied += 1;
                 }
-                self.instant("serve", "executed", now);
-            } else {
-                self.completed_eve += members.len() as u64;
-                for &m in &members {
-                    self.requests[m].completed_at = Some(now);
-                    if leak {
-                        self.sdc += 1;
-                        self.requests[m].corrupted = true;
-                        self.instant("serve", "sdc", now);
-                    }
-                }
-                self.instant("serve", "complete", now);
+                self.net_send_resp(m, s, true, leak);
             }
         }
         self.resolve_drain(s, eng, failed);
@@ -1628,12 +1587,10 @@ impl ClusterSim {
                 if eta <= deadline {
                     self.retries += 1;
                     self.requests[r].shard = s;
-                    if let Some(net) = &mut self.net {
-                        // Supersede the old transmission: its pending
-                        // timeout and hedge no longer own this
-                        // request (the Retry event does).
-                        net.reqs[r].xmit_seq += 1;
-                    }
+                    // Supersede the old transmission: its pending
+                    // timeout and hedge no longer own this request (the
+                    // Retry event does).
+                    self.net.reqs[r].xmit_seq += 1;
                     self.instant("serve", "retry", now);
                     self.push(now + delay, Ev::Retry(r));
                     return;
@@ -1645,18 +1602,17 @@ impl ClusterSim {
 
     fn failover(&mut self, r: usize) {
         let now = self.now;
-        if let Some(net) = &mut self.net {
-            let req = &mut net.reqs[r];
-            if req.resolved {
-                // A stale copy of a request that already resolved
-                // (accepted elsewhere, or already failed over).
-                net.counters.stale_drops += 1;
-                return;
-            }
-            req.resolved = true;
-            req.xmit_seq += 1;
-            net.open -= 1;
+        let net = &mut self.net;
+        let req = &mut net.reqs[r];
+        if req.resolved {
+            // A stale copy of a request that already resolved (accepted
+            // elsewhere, or already failed over).
+            net.counters.stale_drops += 1;
+            return;
         }
+        req.resolved = true;
+        req.xmit_seq += 1;
+        net.open -= 1;
         self.failovers += 1;
         self.instant("serve", "failover", now);
         let start = self.fallback_free_at.max(now);
@@ -1666,8 +1622,8 @@ impl ClusterSim {
     }
 
     /// One steal pass: the emptiest eligible thief (available, a free
-    /// engine, no backlog of its own) takes up to `max_per_pass`
-    /// requests from the most-backlogged unroutable victim, re-pricing
+    /// engine, no backlog of its own) takes up to eight requests from
+    /// the most-backlogged unroutable victim, re-pricing
     /// each against its own queue — stolen work that can no longer make
     /// its deadline goes straight to the fallback instead of dying in a
     /// second queue.
@@ -1676,7 +1632,9 @@ impl ClusterSim {
     /// `reconfigured` an engine since: a retire is the only action
     /// between the two passes that can change availability.
     fn steal_pass(&mut self, reconfigured: bool) {
-        if !self.cfg.steal.enabled || self.ladder.level() == ServiceLevel::FallbackOnly {
+        /// Most requests one pass moves.
+        const PER_PASS: usize = 8;
+        if self.ladder.level() == ServiceLevel::FallbackOnly {
             return;
         }
         let now = self.now;
@@ -1710,16 +1668,12 @@ impl ClusterSim {
                     .any(|e| e.is_active() && !e.busy && e.breaker.allows(now))
         });
         let Some(t) = thief else { return };
-        let stolen = self.shards[v]
-            .queues
-            .drain_upto(self.cfg.steal.max_per_pass);
-        for (tenant, r) in stolen {
+        let stolen = self.shards[v].queues.drain_upto(PER_PASS);
+        for (_, r) in stolen {
             self.steals += 1;
             self.shards[v].steals_out += 1;
-            if let Some(net) = &mut self.net {
-                // The copy left the victim's queue with the thief.
-                net.reqs[r].queued_mask &= !(1u64 << v);
-            }
+            // The copy left the victim's queue with the thief.
+            self.net.reqs[r].queued_mask &= !(1u64 << v);
             let (workload, deadline) = {
                 let req = &self.requests[r];
                 (req.workload, req.deadline)
@@ -1733,15 +1687,10 @@ impl ClusterSim {
             }
             if eta <= deadline {
                 self.shards[t].steals_in += 1;
-                if self.net.is_some() {
-                    // Through the landing logic, not a blind push: the
-                    // thief may already hold this request's answer in
-                    // its idempotency cache.
-                    self.net_enqueue(r, t);
-                } else {
-                    self.requests[r].shard = t;
-                    self.shards[t].queues.push(tenant, r);
-                }
+                // Through the landing logic, not a blind push: the thief
+                // may already hold this request's answer in its
+                // idempotency record.
+                self.net_enqueue(r, t);
             } else {
                 self.steal_failovers += 1;
                 self.failover(r);
@@ -1900,178 +1849,159 @@ impl ClusterSim {
         }
     }
 
-    // ---- The lossy transport (net mode only) ------------------------
+    // ---- The transport ----------------------------------------------
     //
-    // Every router↔shard exchange below is a message on a seeded lossy
-    // link, scheduled through the same calendar as everything else.
-    // Handlers are no-ops when the transport is disabled, so the
-    // historical instantaneous-dispatch schedule is untouched byte for
-    // byte.
+    // Every admitted request takes one path: open, send, land in
+    // `net_enqueue`, execute, respond, accept. On a lossy link each
+    // router↔shard exchange is a message on a seeded link, scheduled
+    // through the same calendar as everything else. The ideal link
+    // hands each message over inline, exactly once and in order; each
+    // place the two differ branches on `NetState::ideal` and says why.
 
-    /// Transmits one message over `shard`'s link, returning the
-    /// scheduled delivery cycles of the copies that survive.
-    fn net_transmit(&mut self, shard: usize, class: MsgClass) -> impl Iterator<Item = u64> {
-        let now = self.now;
-        let copies = self.net.as_mut().map(|net| net.transmit(now, shard, class));
-        copies.into_iter().flatten()
+    /// Transmits one message over `shard`'s lossy link and schedules
+    /// `ev` at each surviving copy's delivery.
+    fn net_transmit(&mut self, shard: usize, class: MsgClass, ev: Ev) {
+        for at in self.net.transmit(self.now, shard, class) {
+            self.calendar.push(at, ev);
+        }
     }
 
-    /// Opens request `r` on the transport: first transmission toward
-    /// `dest` with the full retransmit budget, plus a hedge timer once
-    /// the RTT estimator is warm enough to quote a p99.
+    /// Opens request `r` on the transport: its first transmission,
+    /// toward `dest`, with the full retransmit budget.
     fn net_open_request(&mut self, r: usize, dest: usize) {
-        let now = self.now;
-        let hedge = {
-            let Some(net) = &mut self.net else { return };
-            net.open += 1;
-            let policy = net.policy;
-            let req = &mut net.reqs[r];
-            req.primary = dest;
-            req.retransmits_left = policy.max_retransmits;
-            if policy.hedge {
-                net.rtt
-                    .hedge_delay(policy.hedge_min_samples, policy.hedge_floor)
-            } else {
-                None
-            }
-        };
+        let net = &mut self.net;
+        net.open += 1;
+        let req = &mut net.reqs[r];
+        req.primary = dest;
+        req.retransmits_left = net.policy.max_retransmits;
         self.net_send_req(r, dest);
-        if let Some(d) = hedge {
-            // Sequence 1 is the first transmission; a retransmit or
-            // retry supersedes the hedge along with the timeout.
-            self.push(now + d, Ev::HedgeFire(r, 1));
-        }
     }
 
     /// Sends (or retransmits) request `r` to `dest`: bumps the
     /// transmission sequence — invalidating older timers and hedges —
-    /// transmits the copies, and arms a fresh retransmit timeout.
+    /// and transmits the copies. On a lossy link each send arms a fresh
+    /// retransmit timeout, and the first one a hedge timer too once the
+    /// RTT estimator is warm enough to quote a p99.
     fn net_send_req(&mut self, r: usize, dest: usize) {
         let now = self.now;
-        let (seq, rto) = {
-            let Some(net) = &mut self.net else { return };
-            let req = &mut net.reqs[r];
-            req.xmit_seq += 1;
-            req.sent_at = now;
-            req.sent_mask |= 1u64 << dest;
-            (req.xmit_seq, net.policy.rto)
-        };
-        for at in self.net_transmit(dest, MsgClass::Req) {
-            self.push(at, Ev::DeliverReq(r, dest));
-        }
-        self.push(now + rto, Ev::NetTimeout(r, seq));
-    }
-
-    /// Shard `s` answers request `r` over its link: `ok` for a
-    /// successful execution (fresh or cached), false for a nack.
-    fn net_send_resp(&mut self, r: usize, s: usize, ok: bool, corrupt: bool) {
-        for at in self.net_transmit(s, MsgClass::Resp) {
-            self.push(at, Ev::DeliverResp(r, s, ok, corrupt));
-        }
-    }
-
-    /// A request copy reached shard `s`'s side of the link.
-    fn on_deliver_req(&mut self, r: usize, s: usize) {
-        if let Some(net) = &mut self.net {
-            net.links[s].on_delivered(MsgClass::Req);
-        } else {
+        let req = &mut self.net.reqs[r];
+        req.xmit_seq += 1;
+        req.sent_at = now;
+        let seq = req.xmit_seq;
+        if self.net.ideal() {
+            // The ideal link lands the copy inline: a same-cycle
+            // calendar entry would run after this event's passes and
+            // could reorder same-cycle work. It arms no timer, since
+            // nothing is lost and a timer firing on a queued request
+            // would fail it over, and it records no cancel target,
+            // since no second copy can be outstanding.
+            self.net_enqueue(r, dest);
             return;
         }
+        let net = &mut self.net;
+        net.reqs[r].sent_mask |= 1u64 << dest;
+        let policy = net.policy;
+        let hedge = if seq == 1 && policy.hedge {
+            net.rtt
+                .hedge_delay(policy.hedge_min_samples, policy.hedge_floor)
+        } else {
+            None
+        };
+        self.net_transmit(dest, MsgClass::Req, Ev::DeliverReq(r, dest));
+        self.push(now + policy.rto, Ev::NetTimeout(r, seq));
+        if let Some(d) = hedge {
+            // Sequence 1 is the first transmission; a retransmit or
+            // retry supersedes the hedge along with the timeout.
+            self.push(now + d, Ev::HedgeFire(r, seq));
+        }
+    }
+
+    /// Shard `s` answers request `r`: `ok` for a successful execution
+    /// (fresh or cached), false for a nack.
+    fn net_send_resp(&mut self, r: usize, s: usize, ok: bool, corrupt: bool) {
+        if self.net.ideal() {
+            // Inline, like the request: the router takes the answer at
+            // the cycle the shard gives it.
+            self.net_accept(r, s, ok, corrupt);
+        } else {
+            self.net_transmit(s, MsgClass::Resp, Ev::DeliverResp(r, s, ok, corrupt));
+        }
+    }
+
+    /// A request copy reached shard `s`'s side of its lossy link.
+    fn on_deliver_req(&mut self, r: usize, s: usize) {
+        self.net.links[s].on_delivered(MsgClass::Req);
         self.net_enqueue(r, s);
     }
 
     /// Lands request `r` at shard `s`: a request this shard already
-    /// executed answers from the idempotency cache, a copy already
+    /// executed answers from the idempotency record, a copy already
     /// queued or executing here is suppressed, anything else enters
     /// the tenant queue. This is the exactly-once half the shard owns —
     /// at-least-once delivery upstream, at-most-one effect here.
     fn net_enqueue(&mut self, r: usize, s: usize) {
-        enum Landing {
-            Queue,
-            Cached(bool),
-            Suppress,
-        }
-        let landing = {
-            let Some(net) = &mut self.net else { return };
-            if let Some(corrupt) = net.dedup[s].lookup(r as u64) {
-                net.counters.dedup_hits += 1;
-                Landing::Cached(corrupt)
-            } else if net.reqs[r].queued_mask & (1u64 << s) != 0 {
-                net.counters.dup_suppressed += 1;
-                Landing::Suppress
-            } else {
-                net.reqs[r].queued_mask |= 1u64 << s;
-                Landing::Queue
-            }
-        };
-        match landing {
-            Landing::Queue => {
-                let tenant = self.requests[r].tenant;
-                self.requests[r].shard = s;
-                self.shards[s].queues.push(tenant, r);
-            }
-            Landing::Cached(corrupt) => self.net_send_resp(r, s, true, corrupt),
-            Landing::Suppress => {}
+        let net = &mut self.net;
+        let req = &mut net.reqs[r];
+        if let Some(corrupt) = req.executed.lookup(s) {
+            net.counters.dedup_hits += 1;
+            self.net_send_resp(r, s, true, corrupt);
+        } else if req.queued_mask & (1u64 << s) != 0 {
+            net.counters.dup_suppressed += 1;
+        } else {
+            req.queued_mask |= 1u64 << s;
+            let tenant = self.requests[r].tenant;
+            self.requests[r].shard = s;
+            self.shards[s].queues.push(tenant, r);
         }
     }
 
-    /// A response copy reached the router. The first successful
-    /// response wins: it resolves the request, samples the RTT, and
-    /// cancels every other outstanding copy. Later copies are late;
-    /// nacks re-enter the backoff/retry path.
+    /// A response copy reached the router over a lossy link.
     fn on_deliver_resp(&mut self, r: usize, s: usize, ok: bool, corrupt: bool) {
+        self.net.links[s].on_delivered(MsgClass::Resp);
+        self.net_accept(r, s, ok, corrupt);
+    }
+
+    /// The router takes shard `s`'s response to `r`. The first
+    /// successful response wins: it resolves the request, samples the
+    /// RTT, and cancels every other outstanding copy. Later copies are
+    /// late; nacks re-enter the backoff/retry path.
+    fn net_accept(&mut self, r: usize, s: usize, ok: bool, corrupt: bool) {
         let now = self.now;
-        enum Outcome {
-            Accept { hedge_win: bool, cancels: u64 },
-            Late,
-            Nack,
+        let net = &mut self.net;
+        let req = &mut net.reqs[r];
+        if req.resolved {
+            net.counters.late_responses += 1;
+            return;
         }
-        let outcome = {
-            let Some(net) = &mut self.net else { return };
-            net.links[s].on_delivered(MsgClass::Resp);
-            let req = &mut net.reqs[r];
-            if req.resolved {
-                net.counters.late_responses += 1;
-                Outcome::Late
-            } else if !ok {
-                Outcome::Nack
-            } else {
-                req.resolved = true;
-                req.accepted = true;
-                let hedge_win = req.hedged && req.hedge_shard == s;
-                let cancels = req.sent_mask & !(1u64 << s);
-                let rtt = now.saturating_sub(req.sent_at).max(1);
-                net.open -= 1;
-                net.rtt.record(rtt);
-                if hedge_win {
-                    net.counters.hedge_wins += 1;
-                }
-                Outcome::Accept { hedge_win, cancels }
-            }
-        };
-        match outcome {
-            Outcome::Late => {}
-            Outcome::Nack => self.retry_or_failover(r),
-            Outcome::Accept { hedge_win, cancels } => {
-                self.completed_eve += 1;
-                self.requests[r].completed_at = Some(now);
-                if corrupt {
-                    self.sdc += 1;
-                    self.requests[r].corrupted = true;
-                    self.instant("serve", "sdc", now);
-                }
-                self.instant("serve", "complete", now);
-                if hedge_win {
-                    self.instant("serve", "hedge_win", now);
-                }
-                for t in 0..self.cfg.shards {
-                    if cancels & (1u64 << t) != 0 {
-                        for at in self.net_transmit(t, MsgClass::Cancel) {
-                            self.push(at, Ev::DeliverCancel(r, t));
-                        }
-                    }
-                }
-            }
+        if !ok {
+            self.retry_or_failover(r);
+            return;
+        }
+        req.resolved = true;
+        req.accepted = true;
+        let hedge_win = req.hedged && req.hedge_shard == s;
+        let mut cancels = req.sent_mask & !(1u64 << s);
+        let rtt = now.saturating_sub(req.sent_at).max(1);
+        net.open -= 1;
+        net.rtt.record(rtt);
+        if hedge_win {
+            net.counters.hedge_wins += 1;
+        }
+        self.completed_eve += 1;
+        self.requests[r].completed_at = Some(now);
+        if corrupt {
+            self.sdc += 1;
+            self.requests[r].corrupted = true;
+            self.instant("serve", "sdc", now);
+        }
+        self.instant("serve", "complete", now);
+        if hedge_win {
+            self.instant("serve", "hedge_win", now);
+        }
+        while cancels != 0 {
+            let t = cancels.trailing_zeros() as usize;
+            cancels &= cancels - 1;
+            self.net_transmit(t, MsgClass::Cancel, Ev::DeliverCancel(r, t));
         }
     }
 
@@ -2080,19 +2010,13 @@ impl ClusterSim {
     /// dispatched or finished is a miss (its answer simply arrives
     /// late and is dropped at the router).
     fn on_deliver_cancel(&mut self, r: usize, s: usize) {
-        if let Some(net) = &mut self.net {
-            net.links[s].on_delivered(MsgClass::Cancel);
-        } else {
-            return;
-        }
+        self.net.links[s].on_delivered(MsgClass::Cancel);
         let tenant = self.requests[r].tenant;
-        let removed = self.shards[s].queues.remove(tenant, r);
-        let Some(net) = &mut self.net else { return };
-        if removed {
-            net.reqs[r].queued_mask &= !(1u64 << s);
-            net.counters.hedge_cancelled += 1;
+        if self.shards[s].queues.remove(tenant, r) {
+            self.net.reqs[r].queued_mask &= !(1u64 << s);
+            self.net.counters.hedge_cancelled += 1;
         } else {
-            net.counters.cancel_missed += 1;
+            self.net.counters.cancel_missed += 1;
         }
     }
 
@@ -2101,37 +2025,25 @@ impl ClusterSim {
     /// retransmits along the healthy ring until the budget runs out,
     /// then fails over to O3+DV.
     fn on_net_timeout(&mut self, r: usize, seq: u32) {
-        enum Action {
-            Retransmit,
-            Exhausted,
+        let net = &mut self.net;
+        let req = &mut net.reqs[r];
+        if req.resolved || req.xmit_seq != seq {
+            return;
         }
-        let action = {
-            let Some(net) = &mut self.net else { return };
-            let req = &mut net.reqs[r];
-            if req.resolved || req.xmit_seq != seq {
-                return;
+        net.counters.timeouts += 1;
+        if req.retransmits_left == 0 {
+            self.failover(r);
+            return;
+        }
+        req.retransmits_left -= 1;
+        net.counters.retransmits += 1;
+        self.instant("serve", "retransmit", self.now);
+        match self.reroute(r) {
+            Some(s) => {
+                self.requests[r].shard = s;
+                self.net_send_req(r, s);
             }
-            net.counters.timeouts += 1;
-            if req.retransmits_left == 0 {
-                Action::Exhausted
-            } else {
-                req.retransmits_left -= 1;
-                net.counters.retransmits += 1;
-                Action::Retransmit
-            }
-        };
-        match action {
-            Action::Exhausted => self.failover(r),
-            Action::Retransmit => {
-                self.instant("serve", "retransmit", self.now);
-                match self.reroute(r) {
-                    Some(s) => {
-                        self.requests[r].shard = s;
-                        self.net_send_req(r, s);
-                    }
-                    None => self.failover(r),
-                }
-            }
+            None => self.failover(r),
         }
     }
 
@@ -2140,14 +2052,11 @@ impl ClusterSim {
     /// healthy shard past the primary. First response wins; the loser
     /// is cancelled on acceptance.
     fn on_hedge_fire(&mut self, r: usize, seq: u32) {
-        let primary = {
-            let Some(net) = &self.net else { return };
-            let req = &net.reqs[r];
-            if req.resolved || req.hedged || req.xmit_seq != seq {
-                return;
-            }
-            req.primary
-        };
+        let req = &self.net.reqs[r];
+        if req.resolved || req.hedged || req.xmit_seq != seq {
+            return;
+        }
+        let primary = req.primary;
         self.refresh_availability();
         let Some(dest) = self
             .router
@@ -2157,28 +2066,24 @@ impl ClusterSim {
         else {
             return;
         };
-        if let Some(net) = &mut self.net {
-            let req = &mut net.reqs[r];
-            req.hedged = true;
-            req.hedge_shard = dest;
-            req.sent_mask |= 1u64 << dest;
-            net.counters.hedges += 1;
-        }
+        let net = &mut self.net;
+        let req = &mut net.reqs[r];
+        req.hedged = true;
+        req.hedge_shard = dest;
+        req.sent_mask |= 1u64 << dest;
+        net.counters.hedges += 1;
         self.instant("serve", "hedge", self.now);
         // The hedge copy deliberately leaves the transmission sequence
         // and `sent_at` alone: the primary's timeout still governs the
         // request, and the RTT sample stays anchored to first send.
-        for at in self.net_transmit(dest, MsgClass::Req) {
-            self.push(at, Ev::DeliverReq(r, dest));
-        }
+        self.net_transmit(dest, MsgClass::Req, Ev::DeliverReq(r, dest));
     }
 
     /// A liveness event; a cleared suspicion makes the shard routable
     /// again, which changes a pass input.
     fn on_liveness(&mut self, ev: Liveness) {
         let now = self.now;
-        let Some(net) = &mut self.net else { return };
-        if let Some(s) = net.on_liveness(ev, now, &mut self.calendar) {
+        if let Some(s) = self.net.on_liveness(ev, now, &mut self.calendar) {
             self.quiet_since = None;
             if s < SHARD_CATS.len() {
                 self.instant(SHARD_CATS[s], "suspect_clear", now);
@@ -2281,50 +2186,34 @@ impl ClusterSim {
             })
             .collect();
         // The shard-side execution ledger vs the router-side acceptance
-        // ledger: with the transport on they differ by exactly the
-        // wasted executions (hedge losers, responses lost past the
-        // retransmit budget) — the auditor holds us to that.
+        // ledger: they differ by exactly the wasted executions (hedge
+        // losers, responses lost past the retransmit budget; none on
+        // the ideal link) — the auditor holds us to that.
         let executed_ok: u64 = self.shards.iter().map(|s| s.completions).sum();
-        let (net_counters, wasted_executions, links, detector_events, net_max_retransmits) =
-            match &self.net {
-                Some(net) => {
-                    let mut c = net.counters;
-                    c.suspicions = net.detector.suspicions();
-                    c.recoveries = net.detector.recoveries();
-                    let wasted = net
-                        .reqs
-                        .iter()
-                        .map(|q| u64::from(q.execs.saturating_sub(u32::from(q.accepted))))
-                        .sum();
-                    let links = net
-                        .links
-                        .iter()
-                        .enumerate()
-                        .map(|(i, l)| LinkReport {
-                            shard: i as u64,
-                            req: LinkClassReport::from_stats(l.stats(MsgClass::Req)),
-                            resp: LinkClassReport::from_stats(l.stats(MsgClass::Resp)),
-                            cancel: LinkClassReport::from_stats(l.stats(MsgClass::Cancel)),
-                            heartbeat: LinkClassReport::from_stats(l.stats(MsgClass::Heartbeat)),
-                            ack: LinkClassReport::from_stats(l.stats(MsgClass::Ack)),
-                        })
-                        .collect();
-                    (
-                        c,
-                        wasted,
-                        links,
-                        net.detector.events().to_vec(),
-                        u64::from(net.policy.max_retransmits),
-                    )
-                }
-                None => (
-                    NetCounters::default(),
-                    0,
-                    Vec::new(),
-                    Vec::new(),
-                    u64::from(self.cfg.net.max_retransmits),
-                ),
-            };
+        let net = &self.net;
+        let mut net_counters = net.counters;
+        net_counters.suspicions = net.detector.suspicions();
+        net_counters.recoveries = net.detector.recoveries();
+        let wasted_executions = net
+            .reqs
+            .iter()
+            .map(|q| u64::from(q.executed.count().saturating_sub(u32::from(q.accepted))))
+            .sum();
+        let links: Vec<LinkReport> = net
+            .links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| LinkReport {
+                shard: i as u64,
+                req: LinkClassReport::from_stats(l.stats(MsgClass::Req)),
+                resp: LinkClassReport::from_stats(l.stats(MsgClass::Resp)),
+                cancel: LinkClassReport::from_stats(l.stats(MsgClass::Cancel)),
+                heartbeat: LinkClassReport::from_stats(l.stats(MsgClass::Heartbeat)),
+                ack: LinkClassReport::from_stats(l.stats(MsgClass::Ack)),
+            })
+            .collect();
+        let detector_events = net.detector.events().to_vec();
+        let net_max_retransmits = u64::from(net.policy.max_retransmits);
         // Mirror the tallies into the counter registry: the auditor
         // replays routing, stealing, and shedding against these.
         self.count("cluster.arrivals", arrivals);
@@ -2345,8 +2234,8 @@ impl ClusterSim {
         self.count("cluster.completed_fallback", self.completed_fallback);
         self.count("cluster.sdc", self.sdc);
         self.count("cluster.executed_ok", executed_ok);
-        // The net mirror is unconditional (zeros when disabled) so the
-        // auditor's cross-checks never depend on key presence.
+        // The net mirror is unconditional (zeros on the ideal link) so
+        // the auditor's cross-checks never depend on key presence.
         let (sent, delivered, dropped) = links.iter().fold((0, 0, 0), |acc, l| {
             MsgClass::ALL.iter().fold(acc, |(s, d, x), &class| {
                 let c = l.class(class);
@@ -2877,8 +2766,8 @@ mod tests {
         );
         assert!(r.net.suspicions >= 1);
         assert_eq!(r.net.suspicions, r.net.recoveries, "partition healed");
-        // Unlike the legacy model, the shard's engines never went
-        // unhealthy — the link did. Work queued behind the partition
+        // Unlike a partition on the ideal link, the shard's engines
+        // never went unhealthy — the link did. Work queued behind the partition
         // still executed (some of it wasted) and the shard serves
         // again after the heal.
         let p = &r.shards_detail[2];
@@ -2917,20 +2806,25 @@ mod tests {
             ),
             Err(ServeError::Config(_))
         ));
-        let too_wide = ClusterConfig {
-            shards: 65,
-            net: NetPolicy::lossy(0.1),
-            ..ClusterConfig::default()
-        };
-        assert!(matches!(
-            ClusterSim::new(
+        // Each request tracks its shards in 64-bit masks, whatever the
+        // link: past 64 shards a bit would alias shard 0.
+        for net in [NetPolicy::lossy(0.1), NetPolicy::default()] {
+            let too_wide = ClusterConfig {
+                shards: 65,
+                net,
+                ..ClusterConfig::default()
+            };
+            let err = ClusterSim::new(
                 too_wide,
                 profile.clone(),
                 ClusterTraffic::default(),
-                FaultStorm::none()
-            ),
-            Err(ServeError::Config(_))
-        ));
+                FaultStorm::none(),
+            )
+            .err()
+            .unwrap();
+            assert!(matches!(err, ServeError::Config(_)), "{err}");
+            assert!(err.to_string().contains("64 shards"), "{err}");
+        }
         // A link-degrade storm needs the transport to exist at all.
         let err = ClusterSim::new(
             ClusterConfig::default(),

@@ -198,21 +198,7 @@ impl LinkReport {
 /// JSON form of the transport counter block.
 #[must_use]
 fn net_counters_json(c: &NetCounters) -> JsonValue {
-    JsonValue::object([
-        ("retransmits", JsonValue::from(c.retransmits)),
-        ("timeouts", JsonValue::from(c.timeouts)),
-        ("hedges", JsonValue::from(c.hedges)),
-        ("hedge_wins", JsonValue::from(c.hedge_wins)),
-        ("hedge_cancelled", JsonValue::from(c.hedge_cancelled)),
-        ("cancel_missed", JsonValue::from(c.cancel_missed)),
-        ("dedup_hits", JsonValue::from(c.dedup_hits)),
-        ("dup_suppressed", JsonValue::from(c.dup_suppressed)),
-        ("late_responses", JsonValue::from(c.late_responses)),
-        ("stale_drops", JsonValue::from(c.stale_drops)),
-        ("double_applied", JsonValue::from(c.double_applied)),
-        ("suspicions", JsonValue::from(c.suspicions)),
-        ("recoveries", JsonValue::from(c.recoveries)),
-    ])
+    JsonValue::object(c.fields().map(|(name, v)| (name, JsonValue::from(v))))
 }
 
 /// One tenant's service accounting after a cluster run.
@@ -301,7 +287,7 @@ pub struct ClusterReport {
     pub completed_fallback: u64,
     /// Silent corruptions that reached callers.
     pub sdc: u64,
-    /// Whether the lossy transport was modeled.
+    /// Whether the link was lossy (`false`: the ideal link).
     pub net_enabled: bool,
     /// Effective executions on shard engines (the shard-side ledger:
     /// every batch member that ran to success, accepted or not).
@@ -314,7 +300,7 @@ pub struct ClusterReport {
     /// Retransmit budget per request (policy echo for the auditor's
     /// `retransmits <= admitted * budget` bound).
     pub net_max_retransmits: u64,
-    /// Transport counter block (all zero when `net_enabled` is false).
+    /// Transport counter block (all zero on the ideal link).
     pub net: NetCounters,
     /// Per-link, per-class message-conservation ledgers.
     pub links: Vec<LinkReport>,

@@ -42,18 +42,23 @@
 //! a diurnal load curve, count-based bursts, or a periodic hot-key
 //! storm — all pure functions of the traffic seed.
 //!
-//! The [`net`] module makes the router↔shard wire itself unreliable:
-//! with [`NetPolicy`] enabled, every request, response, cancel, and
-//! heartbeat is a message on a seeded lossy [`Link`] (delay, loss,
-//! duplication, reordering), and the cluster rebuilds exactly-once
-//! *effects* from at-least-once *delivery* — sender-side timeouts and
-//! retransmits, a per-shard idempotency [`DedupTable`] that answers
-//! redelivered requests from cache, windowed-p99 hedged requests with
-//! first-response-wins cancellation, and a heartbeat failure
-//! [`Detector`] whose suspicion feeds routing and the [`Ladder`]. A
-//! partition becomes nothing but 100% loss on a link, and
-//! [`audit_cluster`] replays two new identities: per-link message
-//! conservation and zero double-applied executions.
+//! The [`net`] module models the router↔shard wire. Every admitted
+//! request takes one path through it: open, send, land on a shard,
+//! execute, respond, accept. With [`NetPolicy`] enabled the wire is
+//! unreliable: every request, response, cancel, and heartbeat is a
+//! message on a seeded lossy [`Link`] (delay, loss, duplication,
+//! reordering), and the cluster rebuilds exactly-once *effects* from
+//! at-least-once *delivery* — sender-side timeouts and retransmits, a
+//! per-request idempotency record that answers redelivered requests
+//! from cache, windowed-p99 hedged requests with first-response-wins
+//! cancellation, and a heartbeat failure [`Detector`] whose suspicion
+//! feeds routing and the [`Ladder`]. A partition becomes nothing but
+//! 100% loss on a link, and [`audit_cluster`] replays per-link message
+//! conservation and zero double-applied executions. Disabled, the
+//! default, the wire is an ideal link: each message is handled inline
+//! at the cycle it is sent, exactly once and in order, with no
+//! heartbeats, timers or cancels, and the audit requires its transport
+//! counters to read zero.
 //!
 //! # Examples
 //!
@@ -103,7 +108,7 @@ pub use audit::{audit_cluster, ClusterAuditSummary, ServeAuditFailure};
 pub use backoff::{Backoff, BackoffPolicy};
 pub use batch::BatchPolicy;
 pub use breaker::{BreakerPolicy, BreakerState, BreakerStats, CircuitBreaker};
-pub use cluster::{ClusterConfig, ClusterSim, ClusterTraffic, ServeError, StealPolicy};
+pub use cluster::{ClusterConfig, ClusterSim, ClusterTraffic, ServeError};
 pub use cluster_report::{ClusterReport, EngineReport, ShardReport, TenantReport};
 pub use degrade::{Ladder, LadderEvent, LadderPolicy, ServiceLevel};
 pub use elastic::{
@@ -111,8 +116,7 @@ pub use elastic::{
 };
 pub use health::{apply_signal, engine_health, signals, spawn_target_ok, HealthSignal};
 pub use net::{
-    ClassStats, DedupTable, Detector, DetectorEvent, Link, MsgClass, NetCounters, NetPolicy,
-    RttWindow,
+    ClassStats, Detector, DetectorEvent, Link, MsgClass, NetCounters, NetPolicy, RttWindow,
 };
 pub use profile::ServiceProfile;
 pub use queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};

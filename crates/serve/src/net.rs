@@ -1,45 +1,48 @@
-//! The deterministic lossy interconnect between the router and shards.
+//! The router↔shard interconnect.
 //!
-//! Until this layer existed, router→shard and shard→router messaging
-//! was an instantaneous, perfectly-reliable in-process call — the one
-//! failure class the cluster could not see. [`Link`] makes delivery
-//! explicit: every request, response, cancel, and heartbeat becomes a
-//! message with a seeded per-link delay distribution, loss
-//! probability, duplication, and extra-delay reordering, scheduled
-//! through the existing discrete-event calendar so runs stay
-//! byte-identical at any campaign thread count.
+//! Every request, response, cancel, and heartbeat a cluster exchanges
+//! is a message on a per-shard link. With [`NetPolicy::enabled`] the
+//! link is lossy: [`Link`] gives each message a seeded per-link delay
+//! distribution, loss probability, duplication, and extra-delay
+//! reordering, scheduled through the existing discrete-event calendar
+//! so runs stay byte-identical at any campaign thread count. Disabled,
+//! the default, it is the *ideal link*: each message is handled inline
+//! at the cycle it is sent, exactly once and in order.
 //!
 //! On top of the raw link the cluster builds exactly-once *effects*
 //! from at-least-once *delivery*:
 //!
-//! * [`DedupTable`] is the per-shard idempotency table: the first
-//!   execution of a request is recorded with its result, and every
-//!   redelivered copy resends the cached response instead of
-//!   re-executing — no double-spent warmup flushes, no duplicate SDC
-//!   exposure.
+//! * `Executions` is each request's idempotency record: a bit per shard
+//!   that executed it, and one per shard whose cached answer is
+//!   corrupt. Every redelivered copy resends the cached response
+//!   instead of re-executing — no double-spent warmup flushes, no
+//!   duplicate SDC exposure.
 //! * [`RttWindow`] is the windowed RTT estimator behind hedged
 //!   requests: once enough samples exist, a hedge fires after the
 //!   windowed p99 delay and the first response wins.
 //! * [`Detector`] is the windowed heartbeat failure detector: the
 //!   router pings every shard over the same lossy link; a shard whose
 //!   acks go quiet for more than the miss window is *suspected* and
-//!   routed around, and recovers the moment an ack lands. A partition
-//!   is now just 100% loss on a link — the blunt
+//!   routed around, and recovers the moment an ack lands. On a lossy
+//!   link a
 //!   [`ShardPartition`](crate::storm::StormEventKind::ShardPartition)
-//!   oracle is only kept for the historical (net-disabled) mode.
+//!   is just 100% loss; the ideal link, which runs no detector, blocks
+//!   the partitioned shard outright instead.
 //!
 //! Everything here is a pure function of the seed: the link RNG is a
 //! forked [`SplitMix64`] stream, [`SplitMix64::chance`] always draws
 //! exactly one value, and the p99 is exact integer work.
 
 use eve_common::SplitMix64;
-use std::collections::HashMap;
 
-/// Transport knobs for one cluster run. Disabled (the default) keeps
-/// the historical instantaneous-reliable dispatch path byte-for-byte.
+/// Transport knobs for one cluster run. Disabled (the default) is the
+/// ideal link: every message is handled inline at the cycle it is
+/// sent, exactly once and in order, so it needs no heartbeats, timers
+/// or cancels and keeps no ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetPolicy {
-    /// Whether the transport layer is modeled at all.
+    /// Whether the link is lossy, modeled message by message; `false`
+    /// is the ideal link.
     pub enabled: bool,
     /// Minimum one-way delay per message copy, cycles.
     pub base_delay: u64,
@@ -280,46 +283,45 @@ impl Link {
     }
 }
 
-/// A shard's idempotency table: request id → cached result (whether
-/// the cached answer is silently corrupt). Redelivered copies of an
-/// executed request hit the cache and resend the recorded response
-/// instead of re-executing — the exactly-once half of the transport.
-#[derive(Debug, Clone, Default)]
-pub struct DedupTable {
-    done: HashMap<u64, bool>,
+/// One request's idempotency record: a bit per shard that executed it,
+/// and a bit per shard whose cached answer is silently corrupt. A
+/// redelivered copy landing on a shard that executed the request
+/// resends the cached response instead of re-executing — the
+/// exactly-once half of the transport. Shards are bit positions, which
+/// is why a cluster has at most 64 of them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Executions {
+    done: u64,
+    corrupt: u64,
 }
 
-impl DedupTable {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+impl Executions {
+    /// Records an execution on `shard` with its result. Returns `true`
+    /// when this is the first (effective) application; `false` means
+    /// the caller was about to double-apply — the auditor requires that
+    /// count to be zero — and the first result stands.
+    pub(crate) fn record(&mut self, shard: usize, corrupt: bool) -> bool {
+        let bit = 1u64 << shard;
+        if self.done & bit != 0 {
+            return false;
+        }
+        self.done |= bit;
+        if corrupt {
+            self.corrupt |= bit;
+        }
+        true
     }
 
-    /// Records `id`'s execution with its result. Returns `true` when
-    /// this is the first (effective) application; `false` means the
-    /// caller was about to double-apply — the auditor requires that
-    /// count to be zero.
-    pub fn record(&mut self, id: u64, corrupt: bool) -> bool {
-        self.done.insert(id, corrupt).is_none()
+    /// The cached result on `shard` (whether it is corrupt), if the
+    /// request already executed there.
+    pub(crate) fn lookup(&self, shard: usize) -> Option<bool> {
+        let bit = 1u64 << shard;
+        (self.done & bit != 0).then_some(self.corrupt & bit != 0)
     }
 
-    /// The cached result of `id`, if it already executed here.
-    #[must_use]
-    pub fn lookup(&self, id: u64) -> Option<bool> {
-        self.done.get(&id).copied()
-    }
-
-    /// Distinct requests executed here.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Whether nothing executed here yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
+    /// Shards the request executed on.
+    pub(crate) fn count(&self) -> u32 {
+        self.done.count_ones()
     }
 }
 
@@ -521,7 +523,7 @@ impl Detector {
 }
 
 /// The transport tallies a cluster run reports and the auditor
-/// replays. All zeros while the layer is disabled.
+/// replays. All zeros on the ideal link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Sender-side retransmits after timeouts.
@@ -545,13 +547,34 @@ pub struct NetCounters {
     /// Stale queue entries dropped after their request resolved
     /// elsewhere.
     pub stale_drops: u64,
-    /// Executions the dedup table would have double-applied — the
-    /// exactly-once identity requires this to be zero.
+    /// Executions the idempotency record would have double-applied —
+    /// the exactly-once identity requires this to be zero.
     pub double_applied: u64,
     /// Failure-detector suspicion transitions.
     pub suspicions: u64,
     /// Failure-detector recovery transitions.
     pub recoveries: u64,
+}
+
+impl NetCounters {
+    /// Every counter with its report name, in report order.
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("retransmits", self.retransmits),
+            ("timeouts", self.timeouts),
+            ("hedges", self.hedges),
+            ("hedge_wins", self.hedge_wins),
+            ("hedge_cancelled", self.hedge_cancelled),
+            ("cancel_missed", self.cancel_missed),
+            ("dedup_hits", self.dedup_hits),
+            ("dup_suppressed", self.dup_suppressed),
+            ("late_responses", self.late_responses),
+            ("stale_drops", self.stale_drops),
+            ("double_applied", self.double_applied),
+            ("suspicions", self.suspicions),
+            ("recoveries", self.recoveries),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -631,15 +654,78 @@ mod tests {
 
     #[test]
     fn dedup_never_double_applies() {
-        let mut d = DedupTable::new();
+        let mut d = Executions::default();
         assert!(d.record(3, false), "first application is effective");
-        assert!(!d.record(3, false), "second application is refused");
-        assert_eq!(d.lookup(3), Some(false));
+        assert!(!d.record(3, true), "second application is refused");
+        assert_eq!(d.lookup(3), Some(false), "the first result stands");
         assert!(d.record(4, true));
         assert_eq!(d.lookup(4), Some(true), "cache keeps the corrupt bit");
         assert_eq!(d.lookup(5), None);
-        assert_eq!(d.len(), 2);
-        assert!(!d.is_empty());
+        assert!(d.record(63, false), "the top shard has its own bit");
+        assert_eq!(d.lookup(0), None);
+        assert_eq!(d.count(), 3);
+    }
+
+    /// The record accepts each shard exactly once however deliveries
+    /// are duplicated, reordered, or dropped — the exactly-once kernel.
+    #[test]
+    fn dedup_accepts_each_shard_exactly_once_under_any_delivery_order() {
+        for seed in 0..40 {
+            let mut rng = SplitMix64::new(0xDED0_0000 + seed);
+            let shards = 1 + rng.below(64) as usize;
+            // A delivery stream with 0..=4 copies per shard, shuffled:
+            // duplication and reordering in one stream. Shards with
+            // zero copies model loss — they must stay unknown.
+            let mut stream = Vec::new();
+            let mut copies = vec![0u64; shards];
+            for (s, c) in copies.iter_mut().enumerate() {
+                *c = rng.below(5);
+                for _ in 0..*c {
+                    stream.push(s);
+                }
+            }
+            for i in (1..stream.len()).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                stream.swap(i, j);
+            }
+            // Each shard's protocol: look up first; a hit answers from
+            // the cache, a miss executes and records — `record`
+            // returning `false` would mean a double application.
+            let mut record = Executions::default();
+            let mut fresh = vec![0u64; shards];
+            let mut flag = vec![false; shards];
+            for &s in &stream {
+                match record.lookup(s) {
+                    Some(cached) => assert_eq!(
+                        cached, flag[s],
+                        "seed {seed}: cache flipped its answer for shard {s}"
+                    ),
+                    None => {
+                        let corrupt = rng.chance(0.1);
+                        assert!(
+                            record.record(s, corrupt),
+                            "seed {seed}: fresh record on shard {s} claimed a double apply"
+                        );
+                        fresh[s] += 1;
+                        flag[s] = corrupt;
+                    }
+                }
+            }
+            for (s, &c) in copies.iter().enumerate() {
+                assert_eq!(
+                    fresh[s],
+                    u64::from(c > 0),
+                    "seed {seed}: shard {s} applied {} times over {c} copies",
+                    fresh[s]
+                );
+                assert_eq!(record.lookup(s).is_some(), c > 0, "seed {seed}");
+            }
+            assert_eq!(
+                u64::from(record.count()),
+                copies.iter().filter(|&&c| c > 0).count() as u64,
+                "seed {seed}: record size disagrees with delivered shards"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Property tests for the lossy-interconnect primitives and the
 //! end-to-end retry/hedge machinery, in the style of
 //! `ladder_properties.rs`: seeded random streams checked against the
-//! invariants directly, not against golden outputs:
+//! invariants directly, not against golden outputs (the per-request
+//! idempotency record's exactly-once property is a unit test in
+//! `eve_serve::net`):
 //!
-//! * the dedup table accepts each request id exactly once no matter
-//!   how deliveries are duplicated, reordered, or dropped — the
-//!   exactly-once kernel;
 //! * a link's message ledger balances (`sent == delivered + dropped`,
 //!   nothing in flight once every copy lands) under any policy, and a
 //!   fully degraded window drops everything;
@@ -17,73 +16,12 @@
 //!   retransmit/hedge tallies inside their caps.
 
 use eve::serve::{
-    tenant_mix, ClusterConfig, ClusterSim, ClusterTraffic, DedupTable, Detector, FaultStorm, Link,
-    MsgClass, NetPolicy, ServiceProfile,
+    tenant_mix, ClusterConfig, ClusterSim, ClusterTraffic, Detector, FaultStorm, Link, MsgClass,
+    NetPolicy, ServiceProfile,
 };
 use eve_common::SplitMix64;
 
 const SEEDS: u64 = 40;
-
-#[test]
-fn dedup_accepts_each_id_exactly_once_under_any_delivery_order() {
-    for seed in 0..SEEDS {
-        let mut rng = SplitMix64::new(0xDED0_0000 + seed);
-        let ids = 1 + rng.below(120);
-        // Build a delivery stream with 1..=4 copies of each id, then
-        // shuffle it: duplication and reordering in one stream. Ids
-        // with zero copies model loss — they must stay unknown.
-        let mut stream = Vec::new();
-        let mut copies = vec![0u64; ids as usize];
-        for (id, c) in copies.iter_mut().enumerate() {
-            *c = rng.below(5); // 0 = lost entirely
-            for _ in 0..*c {
-                stream.push(id as u64);
-            }
-        }
-        for i in (1..stream.len()).rev() {
-            let j = rng.below(i as u64 + 1) as usize;
-            stream.swap(i, j);
-        }
-
-        // The shard's protocol: look the id up first; a hit answers
-        // from the cache, a miss executes and records — `record`
-        // returning `false` would mean a double application.
-        let mut table = DedupTable::new();
-        let mut fresh = vec![0u64; ids as usize];
-        let mut flag = vec![false; ids as usize];
-        for &id in &stream {
-            match table.lookup(id) {
-                Some(cached) => assert_eq!(
-                    cached, flag[id as usize],
-                    "seed {seed}: cache flipped its answer for id {id}"
-                ),
-                None => {
-                    let corrupt = rng.chance(0.1);
-                    assert!(
-                        table.record(id, corrupt),
-                        "seed {seed}: fresh record for id {id} claimed a double apply"
-                    );
-                    fresh[id as usize] += 1;
-                    flag[id as usize] = corrupt;
-                }
-            }
-        }
-        for (id, &c) in copies.iter().enumerate() {
-            let expect = u64::from(c > 0);
-            assert_eq!(
-                fresh[id], expect,
-                "seed {seed}: id {id} applied {} times over {c} copies",
-                fresh[id]
-            );
-            assert_eq!(table.lookup(id as u64).is_some(), c > 0, "seed {seed}");
-        }
-        assert_eq!(
-            table.len() as u64,
-            copies.iter().filter(|&&c| c > 0).count() as u64,
-            "seed {seed}: table size disagrees with delivered ids"
-        );
-    }
-}
 
 #[test]
 fn a_link_ledger_balances_under_any_policy() {
